@@ -23,8 +23,6 @@ from .exact_linalg import (
     SnfResult,
     SparseIntMatrix,
     boundary_matrix,
-    echelon_insert,
-    in_colspan_mod_p,
     minor_gcd_oracle,
     rank_mod_p,
     smith_normal_form,

@@ -1,9 +1,9 @@
 """Exact linear algebra for boundary operators.
 
 Integer matrices are kept exact throughout: Smith normal form runs on
-machine words while a proven bound shows no overflow is possible and
-transparently restarts with arbitrary-precision integers otherwise.
-Rank computations over F_p use dense word-sized modular elimination.
+Python integers, first eliminating +-1 pivots sparsely and then reducing
+the small residual core densely. Rank computations over F_p use dense
+word-sized modular elimination whose products are kept below 2^63.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .complexes import Complex, rank_face
-
-# entries are safe for an int64 row operation while |entry| * (1 + |quotient|)
-# stays below this bound
-_INT64_GUARD = 2**62
 
 
 class MatrixFormatError(ValueError):
@@ -66,10 +62,6 @@ class SparseIntMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def density(self) -> float:
-        total = self.rows * self.cols
-        return self.nnz / total if total else 0.0
-
     def copy(self) -> "SparseIntMatrix":
         m = SparseIntMatrix(self.rows, self.cols)
         m.entries = dict(self.entries)
@@ -113,6 +105,7 @@ def read_matrix_file(path: str) -> SparseIntMatrix:
         lines = fh.read().splitlines()
     header_seen = False
     m: SparseIntMatrix | None = None
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -139,8 +132,9 @@ def read_matrix_file(path: str) -> SparseIntMatrix:
         assert m is not None
         if not (0 <= r < m.rows and 0 <= c < m.cols):
             raise MatrixFormatError(lineno, f"index ({r},{c}) outside {m.rows}x{m.cols}")
-        if (r, c) in m.entries:
+        if (r, c) in seen:
             raise MatrixFormatError(lineno, f"duplicate entry ({r},{c})")
+        seen.add((r, c))
         if v:
             m.entries[(r, c)] = v
     if m is None:
@@ -326,7 +320,7 @@ class EchelonBasis:
         if self._pivot_rows:
             coeff = v[self._pivot_rows]
             if coeff.any():
-                v = (v - self._cols @ coeff) % self.p
+                v = (v - _matmul_mod(self._cols, coeff, self.p)) % self.p
         return v
 
     def reduce_columns(self, V: np.ndarray) -> np.ndarray:
@@ -337,7 +331,16 @@ class EchelonBasis:
         if not self._pivot_rows:
             return V
         coeff = V[self._pivot_rows, :]
-        return (V - _matmul_mod(self._cols, coeff, self.p)) % self.p
+        if self.p * self.p * self.rank < 2**53:
+            # BLAS float64 product is exact while every dot product stays below 2^53
+            prod = self._cols.astype(np.float64) @ coeff.astype(np.float64)
+            prod = prod.astype(np.int64)
+        else:
+            prod = _matmul_mod(self._cols, coeff, self.p)
+        # V is a fresh array here, so it is updated in place to save a copy
+        V -= prod
+        V %= self.p
+        return V
 
     def contains(self, v: np.ndarray) -> bool:
         return not self.reduce(v).any()
@@ -360,20 +363,18 @@ class EchelonBasis:
 
 
 def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    # BLAS float64 product is exact while every dot product stays below 2^53
-    if p * p * A.shape[1] < 2**53:
-        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
-    return (A @ B) % p
+    """A @ B mod p for entries in [0, p), exact in int64 for every p < 2^31.
 
-
-def echelon_insert(B: EchelonBasis, v: np.ndarray) -> tuple[EchelonBasis, bool]:
-    """Insert a column into the basis; returns (basis, was_independent)."""
-    return B, B.insert(v)
-
-
-def in_colspan_mod_p(B: EchelonBasis, v: np.ndarray) -> bool:
-    """True iff v lies in the span of the inserted columns; B is unchanged."""
-    return B.contains(v)
+    One int64 product is exact while its inner dimension K satisfies
+    K * (p-1)^2 < 2^63; longer products are summed in chunks that do, with
+    a reduction mod p after each.
+    """
+    step = (2**63 - 1) // (p - 1) ** 2
+    out = (A[:, :step] @ B[:step]) % p
+    for k in range(step, A.shape[1], step):
+        out += (A[:, k : k + step] @ B[k : k + step]) % p
+        out %= p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -394,135 +395,113 @@ class SnfResult:
         return tuple(d for d in self.invariant_factors if d > 1)
 
 
-class _Int64Overflow(Exception):
-    pass
-
-
 def smith_normal_form(M: SparseIntMatrix) -> SnfResult:
     """Invariant factors of M over the integers; the input is not mutated.
 
-    Pivots are chosen by minimal absolute value (ties: lowest column, then
-    lowest row); rows/columns are cleared by division with remainder, and a
-    pivot failing to divide the remaining entries is repaired by adding the
-    offending row and re-reducing. Runs on int64 with a strict pre-op bound
-    check and restarts with python integers if the bound could be violated.
+    Two steps, both exact over Python integers and both unimodular, so the
+    cokernel and hence the torsion are kept:
+
+    1. Sparse unit-pivot elimination. While a +-1 entry remains, take the
+       one of lowest Markowitz cost (len(col)-1)*(len(row)-1), clear its row
+       with column operations, drop its row and column and count one
+       invariant factor 1. Boundary matrices have +-1 entries, so this
+       usually eliminates all of them.
+    2. A dense Smith form of the residual core (the rows and columns that
+       are still nonzero), whose factors follow the counted 1s.
     """
-    if M.rows == 0 or M.cols == 0 or not M.entries:
-        return SnfResult(())
-    try:
-        if any(abs(v) >= _INT64_GUARD for v in M.entries.values()):
-            raise _Int64Overflow
-        factors = _snf_int64(M)
-    except _Int64Overflow:
-        factors = _snf_exact(M.to_dense())
-    factors = [abs(int(d)) for d in factors]
+    cols: dict[int, dict[int, int]] = {}
+    rows: dict[int, set[int]] = {}
+    for (r, c), v in M.entries.items():
+        cols.setdefault(c, {})[r] = v
+        rows.setdefault(r, set()).add(c)
+    factors = [1] * _eliminate_unit_pivots(cols, rows)
+    if cols:
+        row_index = {r: i for i, r in enumerate(rows)}
+        core = [[0] * len(cols) for _ in row_index]
+        for j, col in enumerate(cols.values()):
+            for r, v in col.items():
+                core[row_index[r]][j] = v
+        factors += _snf_dense(core)
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0, f"invariant factor chain broken: {a} does not divide {b}"
     return SnfResult(tuple(factors))
 
 
-def _select_pivot(A: np.ndarray, k: int) -> tuple[int, int]:
-    """Position of the min-abs nonzero entry of A[k:, k:], ties by (col, row)."""
-    sub = np.abs(A[k:, k:])
-    nzr, nzc = np.nonzero(sub)
-    vals = sub[nzr, nzc]
-    m = vals.min()
-    at = np.flatnonzero(vals == m)
-    # lexicographic (col, row) among minimal entries
-    best = min(at, key=lambda t: (nzc[t], nzr[t]))
-    return k + int(nzr[best]), k + int(nzc[best])
+def _eliminate_unit_pivots(
+    cols: dict[int, dict[int, int]], rows: dict[int, set[int]]
+) -> int:
+    """Eliminate +-1 pivots in place; returns how many were taken.
+
+    cols maps column -> {row: nonzero value} and rows maps row -> the set
+    of columns with a nonzero entry there. Emptied rows and columns are
+    removed from both.
+    """
+    taken = 0
+    while True:
+        best, best_cost = None, math.inf
+        for c, col in cols.items():
+            width = len(col) - 1
+            for r, v in col.items():
+                if v == 1 or v == -1:
+                    cost = width * (len(rows[r]) - 1)
+                    if cost < best_cost:
+                        best, best_cost = (r, c), cost
+                        if cost == 0:
+                            break
+            if best_cost == 0:
+                break
+        if best is None:
+            return taken
+        r, c = best
+        pivot_col = cols.pop(c)
+        u = pivot_col[r]
+        # column operations clear row r outside the pivot column
+        for c2 in list(rows[r]):
+            if c2 == c:
+                continue
+            col2 = cols[c2]
+            f = col2[r] * u
+            for r2, v in pivot_col.items():
+                w = col2.get(r2, 0) - f * v
+                if w:
+                    if r2 not in col2:
+                        rows[r2].add(c2)
+                    col2[r2] = w
+                elif r2 in col2:
+                    del col2[r2]
+                    rows[r2].discard(c2)
+            if not col2:
+                del cols[c2]
+        # row r is now zero outside column c, so row operations clear the
+        # rest of column c without touching any other column
+        for r2 in pivot_col:
+            cs = rows[r2]
+            cs.discard(c)
+            if not cs:
+                del rows[r2]
+        taken += 1
 
 
-def _snf_int64(M: SparseIntMatrix) -> list[int]:
-    A = np.zeros((M.rows, M.cols), dtype=np.int64)
-    for (r, c), v in M.entries.items():
-        A[r, c] = v
-    factors: list[int] = []
-    for k in range(min(M.rows, M.cols)):
-        if not A[k:, k:].any():
-            break
-        pi, pj = _select_pivot(A, k)
-        if pi != k:
-            A[[k, pi]] = A[[pi, k]]
-        if pj != k:
-            A[:, [k, pj]] = A[:, [pj, k]]
-        while True:
-            if A[k, k] < 0:
-                A[k, :] = -A[k, :]
-            p = int(A[k, k])
-            col = A[k + 1 :, k]
-            if col.any():
-                _guarded_row_clear(A, k, p)
-                col = A[k + 1 :, k]
-                if col.any():  # remainders survive: promote the smallest
-                    nz = np.nonzero(col)[0]
-                    i = nz[np.abs(col[nz]).argmin()]
-                    A[[k, k + 1 + int(i)]] = A[[k + 1 + int(i), k]]
-                    continue
-            row = A[k, k + 1 :]
-            if row.any():
-                _guarded_col_clear(A, k, p)
-                row = A[k, k + 1 :]
-                if row.any():
-                    nz = np.nonzero(row)[0]
-                    j = nz[np.abs(row[nz]).argmin()]
-                    A[:, [k, k + 1 + int(j)]] = A[:, [k + 1 + int(j), k]]
-                    continue
-            # pivot row and column are clear; enforce divisibility of the rest
-            rest = A[k + 1 :, k + 1 :]
-            if rest.size:
-                bad = np.nonzero((rest % p).any(axis=1))[0]
-                if bad.size:
-                    if 2 * int(np.abs(A).max()) >= _INT64_GUARD:
-                        raise _Int64Overflow
-                    A[k, :] += A[k + 1 + int(bad[0]), :]
-                    continue
-            break
-        factors.append(int(A[k, k]))
-    return factors
+def _snf_dense(A: list[list[int]]) -> list[int]:
+    """Positive invariant factors of a dense nonempty matrix; A is consumed.
 
-
-def _guarded_row_clear(A: np.ndarray, k: int, p: int) -> None:
-    """Subtract nearest-multiple of the pivot row from all rows below (column k)."""
-    col = A[k + 1 :, k]
-    q = (col + p // 2) // p
-    hit = np.nonzero(q)[0]
-    if hit.size == 0:
-        return
-    qmax = int(np.abs(q[hit]).max())
-    if (qmax + 1) * int(np.abs(A[k:, k:]).max()) >= _INT64_GUARD:
-        raise _Int64Overflow
-    A[k + 1 + hit, k:] -= q[hit, None] * A[k, k:]
-
-
-def _guarded_col_clear(A: np.ndarray, k: int, p: int) -> None:
-    row = A[k, k + 1 :]
-    q = (row + p // 2) // p
-    hit = np.nonzero(q)[0]
-    if hit.size == 0:
-        return
-    qmax = int(np.abs(q[hit]).max())
-    if (qmax + 1) * int(np.abs(A[k:, k:]).max()) >= _INT64_GUARD:
-        raise _Int64Overflow
-    A[k:, k + 1 + hit] -= np.outer(A[k:, k], q[hit])
-
-
-def _snf_exact(rows2d: list[list[int]]) -> list[int]:
-    """Same elimination as _snf_int64 over arbitrary-precision integers."""
-    A = [list(map(int, row)) for row in rows2d]
+    Pivots are chosen by minimal absolute value; rows and columns are
+    cleared by division with remainder, and a pivot failing to divide the
+    remaining entries is repaired by adding the offending row and
+    re-reducing.
+    """
     nrows, ncols = len(A), len(A[0])
     factors: list[int] = []
     for k in range(min(nrows, ncols)):
-        pivot = None  # (abs, col, row)
-        for r in range(k, nrows):
-            Ar = A[r]
-            for c in range(k, ncols):
-                v = Ar[c]
-                if v and (pivot is None or (abs(v), c, r) < pivot):
-                    pivot = (abs(v), c, r)
-        if pivot is None:
+        nonzero = [
+            (abs(A[r][c]), r, c)
+            for r in range(k, nrows)
+            for c in range(k, ncols)
+            if A[r][c]
+        ]
+        if not nonzero:
             break
-        _, pj, pi = pivot
+        _, pi, pj = min(nonzero)
         if pi != k:
             A[k], A[pi] = A[pi], A[k]
         if pj != k:
@@ -568,16 +547,14 @@ def _snf_exact(rows2d: list[list[int]]) -> list[int]:
                 for row in A:
                     row[k], row[best_c] = row[best_c], row[k]
                 continue
-            repaired = False
-            for r in range(k + 1, nrows):
-                if any(A[r][c] % p for c in range(k + 1, ncols)):
-                    Ak, Ar = A[k], A[r]
-                    for c in range(k, ncols):
-                        Ak[c] += Ar[c]
-                    repaired = True
-                    break
-            if not repaired:
+            bad = next(
+                (r for r in range(k + 1, nrows) if any(x % p for x in A[r][k + 1 :])),
+                None,
+            )
+            if bad is None:
                 break
+            # rows below k are zero left of column k + 1, so this adds only there
+            A[k] = [x + y for x, y in zip(A[k], A[bad])]
         factors.append(A[k][k])
     return factors
 

@@ -1,9 +1,14 @@
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from sympy.polys.domains import ZZ
 
 from conftest import rank_mod_p_oracle, rank_over_Q, random_complex
 from homoforge.complexes import Complex, edges_colex
@@ -14,8 +19,6 @@ from homoforge.exact_linalg import (
     boundary_columns_dense,
     boundary_matrix,
     boundary_vector_dense,
-    echelon_insert,
-    in_colspan_mod_p,
     is_prime,
     minor_gcd_oracle,
     rank_mod_p,
@@ -23,7 +26,24 @@ from homoforge.exact_linalg import (
     smith_normal_form,
     write_matrix_file,
 )
-from homoforge.exact_linalg import _snf_exact
+
+
+BIG = 10**25
+
+
+def sympy_invariant_factors(dense):
+    """Nonzero diagonal of sympy's Smith normal form, as positive integers."""
+    snf = sympy_snf(Matrix(dense), domain=ZZ)
+    diagonal = (snf[i, i] for i in range(min(snf.shape)))
+    return tuple(abs(int(d)) for d in diagonal if d)
+
+
+@st.composite
+def sparse_dense_matrices(draw):
+    """Up to 7x7, mostly zeros, with units, small integers and +-10^25."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, -6, BIG, -BIG])
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
 
 
 def random_sparse(rng, max_dim=8, lo=-9, hi=9):
@@ -69,9 +89,10 @@ class TestMatrixFile:
         path.write_text("2 2\n5 0 1\n")
         with pytest.raises(MatrixFormatError, match="line 2"):
             read_matrix_file(str(path))
-        path.write_text("2 2\n0 0 1\n0 0 2\n")
-        with pytest.raises(MatrixFormatError, match="duplicate"):
-            read_matrix_file(str(path))
+        for text in ("2 2\n0 0 1\n0 0 2\n", "2 2\n0 0 0\n0 0 5\n"):
+            path.write_text(text)
+            with pytest.raises(MatrixFormatError, match="duplicate"):
+                read_matrix_file(str(path))
 
 
 class TestBoundaryMatrix:
@@ -146,8 +167,7 @@ class TestEchelonBasis:
     def test_insert_into_empty(self):
         b = EchelonBasis(2, 4)
         v = np.array([1, 0, 1, 0])
-        _, independent = echelon_insert(b, v)
-        assert independent and b.rank == 1
+        assert b.insert(v) and b.rank == 1
 
     def test_double_insert_dependent(self):
         b = EchelonBasis(5, 4)
@@ -174,9 +194,9 @@ class TestEchelonBasis:
     def test_colspan_trivial_cases(self):
         b = EchelonBasis(3, 5)
         b.insert(np.array([1, 2, 0, 0, 1]))
-        assert in_colspan_mod_p(b, np.zeros(5, dtype=np.int64))
-        assert in_colspan_mod_p(b, np.array([1, 2, 0, 0, 1]))
-        assert not in_colspan_mod_p(b, np.array([0, 1, 0, 0, 0]))
+        assert b.contains(np.zeros(5, dtype=np.int64))
+        assert b.contains(np.array([1, 2, 0, 0, 1]))
+        assert not b.contains(np.array([0, 1, 0, 0, 0]))
 
     def test_colspan_boundary_sum_identity(self):
         # triangles 124,134,234 (1-based): their boundaries sum to d(123) mod 2
@@ -190,7 +210,7 @@ class TestEchelonBasis:
             b.insert(v)
         target = boundary_vector_dense((0, 1, 2), n)
         assert (total % 2 == target % 2).all()  # explicit vector addition
-        assert in_colspan_mod_p(b, target)
+        assert b.contains(target)
 
     def test_contains_does_not_mutate(self):
         b = EchelonBasis(2, 3)
@@ -215,6 +235,30 @@ class TestEchelonBasis:
         batch = b.reduce_columns(V)
         for j in range(8):
             assert batch[:, j].tolist() == b.reduce(V[:, j]).tolist()
+
+    def test_largest_prime_is_exact(self):
+        # K * (p-1)^2 overflows int64 from K = 3 on; the residuals must not wrap
+        p = 2**31 - 1
+        rng = random.Random(31)
+        basis = [[rng.randrange(p) for _ in range(20)] for _ in range(10)]
+        assert rank_mod_p_oracle(basis, p) == 10
+        b = EchelonBasis(p, 20)
+        for v in basis:
+            assert b.insert(np.array(v, dtype=np.int64))
+        combos = []
+        for _ in range(50):
+            coeffs = [rng.randrange(p) for _ in basis]
+            combos.append(
+                [sum(a * v[i] for a, v in zip(coeffs, basis)) % p for i in range(20)]
+            )
+        for w in combos:
+            w = np.array(w, dtype=np.int64)
+            assert b.contains(w)
+            assert not b.reduce(w).any()
+        assert not b.reduce_columns(np.array(combos, dtype=np.int64).T).any()
+        outside = [rng.randrange(p) for _ in range(20)]
+        assert rank_mod_p_oracle(basis + [outside], p) == 11
+        assert not b.contains(np.array(outside, dtype=np.int64))
 
 
 class TestSmithNormalForm:
@@ -281,14 +325,29 @@ class TestSmithNormalForm:
                 else:
                     assert rp == sum(1 for d in res.invariant_factors if d % p)
 
-    def test_exact_path_agrees_with_guarded_path(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            r, c = rng.randint(1, 5), rng.randint(1, 5)
-            dense = [[rng.randint(-50, 50) for _ in range(c)] for _ in range(r)]
-            via_exact = tuple(abs(x) for x in _snf_exact(dense))
-            via_main = smith_normal_form(SparseIntMatrix.from_dense(dense))
-            assert via_exact == via_main.invariant_factors
+    @settings(max_examples=300, deadline=None)
+    @given(dense=sparse_dense_matrices())
+    # no +-1 entry at all, so the whole matrix is the residual core
+    @example(dense=[[2, 4], [6, 8]])
+    @example(dense=[[BIG, 0, 6], [2, -BIG, 0], [0, 3, 4]])
+    # unit pivots first, then a core with torsion
+    @example(dense=[[1, 1, 0], [1, 3, 2], [0, 2, 4]])
+    def test_matches_sympy_on_sparse_matrices(self, dense):
+        got = smith_normal_form(SparseIntMatrix.from_dense(dense))
+        assert got.invariant_factors == sympy_invariant_factors(dense)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_sympy_on_boundary_matrices(self, data):
+        dim = data.draw(st.sampled_from([2, 3]), label="dim")
+        n = data.draw(st.integers(dim + 1, 6), label="n")
+        all_faces = list(combinations(range(n), dim + 1))
+        faces = data.draw(
+            st.lists(st.sampled_from(all_faces), unique=True), label="faces"
+        )
+        dense = boundary_matrix(Complex(n, dim, faces)).to_dense()
+        got = smith_normal_form(SparseIntMatrix.from_dense(dense))
+        assert got.invariant_factors == sympy_invariant_factors(dense)
 
     def test_huge_entries_use_exact_arithmetic(self):
         big = 10**40
