@@ -34,9 +34,7 @@ from .experiments import (
     TorsionTrace,
     hitting_time_trial,
     run_campaign,
-    shadow_growth_run,
     torsion_scan,
-    uncovered_rank_check,
 )
 from .homology import (
     HomologySummary,

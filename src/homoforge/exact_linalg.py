@@ -279,14 +279,21 @@ def rank_mod_p(M: SparseIntMatrix | np.ndarray, p: int) -> int:
 # incremental echelon basis over F_p
 
 
-class EchelonBasis:
-    """Mutually reduced column basis over F_p with incremental insertion.
+_INITIAL_CAPACITY = 8
 
-    Every stored column has a 1 in its own pivot row and 0 in every other
-    pivot row, so reducing a vector is a single matrix-vector product.
+
+class EchelonBasis:
+    """Fully reduced basis of a subspace of F_p^nrows, grown one vector at a time.
+
+    Basis vector i is row i of an int64 buffer that doubles when full, so
+    no insert copies the whole basis; _pivot_rows[i] is its pivot row.
+    Each stored vector has a 1 in its own pivot row and 0 in every other
+    pivot row. Reducing v therefore subtracts, for each pivot row r with
+    v[r] != 0, v[r] times the vector of r; a boundary vector has at most
+    three such coefficients.
     """
 
-    __slots__ = ("p", "nrows", "_cols", "_pivot_rows")
+    __slots__ = ("p", "nrows", "_buf", "_pivot_rows", "_rank")
 
     def __init__(self, p: int, nrows: int):
         _check_prime(p)
@@ -294,18 +301,20 @@ class EchelonBasis:
             raise ValueError("row dimension must be nonnegative")
         self.p = p
         self.nrows = nrows
-        self._cols = np.zeros((nrows, 0), dtype=np.int64)
-        self._pivot_rows: list[int] = []
+        self._buf = np.zeros((min(_INITIAL_CAPACITY, nrows), nrows), dtype=np.int64)
+        self._pivot_rows = np.zeros(nrows, dtype=np.intp)
+        self._rank = 0
 
     @property
     def rank(self) -> int:
-        return len(self._pivot_rows)
+        return self._rank
 
     @property
     def pivots(self) -> dict[int, np.ndarray]:
-        """Pivot row -> reduced basis column (copies)."""
+        """Pivot row -> reduced basis vector (copies)."""
+        k = self._rank
         return {
-            r: self._cols[:, i].copy() for i, r in enumerate(self._pivot_rows)
+            int(r): self._buf[i].copy() for i, r in enumerate(self._pivot_rows[:k])
         }
 
     def _check_vector(self, v: np.ndarray) -> np.ndarray:
@@ -317,10 +326,12 @@ class EchelonBasis:
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """Residual of v against the basis; the basis is unchanged."""
         v = self._check_vector(v)
-        if self._pivot_rows:
-            coeff = v[self._pivot_rows]
-            if coeff.any():
-                v = (v - _matmul_mod(self._cols, coeff, self.p)) % self.p
+        coeff = v[self._pivot_rows[: self._rank]]
+        used = np.flatnonzero(coeff)
+        if used.size:
+            # v is a fresh array here, so it is updated in place
+            v -= _matmul_mod(self._buf[used].T, coeff[used], self.p)
+            v %= self.p
         return v
 
     def reduce_columns(self, V: np.ndarray) -> np.ndarray:
@@ -328,15 +339,17 @@ class EchelonBasis:
         V = np.asarray(V, dtype=np.int64) % self.p
         if V.shape[0] != self.nrows:
             raise ValueError(f"columns have {V.shape[0]} rows, expected {self.nrows}")
-        if not self._pivot_rows:
+        k = self._rank
+        if not k:
             return V
-        coeff = V[self._pivot_rows, :]
-        if self.p * self.p * self.rank < 2**53:
+        coeff = V[self._pivot_rows[:k], :]
+        basis = self._buf[:k].T
+        if self.p * self.p * k < 2**53:
             # BLAS float64 product is exact while every dot product stays below 2^53
-            prod = self._cols.astype(np.float64) @ coeff.astype(np.float64)
+            prod = basis.astype(np.float64) @ coeff.astype(np.float64)
             prod = prod.astype(np.int64)
         else:
-            prod = _matmul_mod(self._cols, coeff, self.p)
+            prod = _matmul_mod(basis, coeff, self.p)
         # V is a fresh array here, so it is updated in place to save a copy
         V -= prod
         V %= self.p
@@ -348,17 +361,28 @@ class EchelonBasis:
     def insert(self, v: np.ndarray) -> bool:
         """Reduce v and adjoin the residual if nonzero; True iff independent."""
         res = self.reduce(v)
-        nz = np.nonzero(res)[0]
+        nz = np.flatnonzero(res)
         if nz.size == 0:
             return False
         pivot_row = int(nz[0])
-        res = res * pow(int(res[pivot_row]), -1, self.p) % self.p
-        if self._pivot_rows:
-            factors = self._cols[pivot_row, :]
-            if factors.any():
-                self._cols = (self._cols - np.outer(res, factors)) % self.p
-        self._cols = np.concatenate([self._cols, res[:, None]], axis=1)
-        self._pivot_rows.append(pivot_row)
+        res *= pow(int(res[pivot_row]), -1, self.p)
+        res %= self.p
+        k = self._rank
+        # clear the new pivot row from the stored vectors that have it; each
+        # entry takes one product below p^2 < 2^62
+        factors = self._buf[:k, pivot_row]
+        hit = np.flatnonzero(factors)
+        if hit.size:
+            self._buf[hit] = (self._buf[hit] - np.outer(factors[hit], res)) % self.p
+        if k == len(self._buf):
+            # the rank never exceeds nrows, so neither does the capacity
+            capacity = min(2 * k, self.nrows)
+            buf = np.zeros((capacity, self.nrows), dtype=np.int64)
+            buf[:k] = self._buf
+            self._buf = buf
+        self._buf[k] = res
+        self._pivot_rows[k] = pivot_row
+        self._rank = k + 1
         return True
 
 

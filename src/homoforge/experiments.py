@@ -72,7 +72,7 @@ def hitting_time_trial(n: int, seed: int) -> ProcessTrace:
             if Y.edge_cover_count[r] == 0:
                 uncovered -= 1
         Y.add_face(f)
-        basis.insert(boundary_vector_dense(f, n) % 2)
+        basis.insert(boundary_vector_dense(f, n))
         f2_betti = cycle_dim - basis.rank
         if h_f2 is None and f2_betti == 0:
             h_f2 = step
@@ -128,12 +128,6 @@ def shadow_growth_trial(
     }
 
 
-def shadow_growth_run(
-    n: int, p: int, seeds, force_full: bool = False
-) -> list[dict]:
-    return [shadow_growth_trial(n, p, s, force_full=force_full) for s in seeds]
-
-
 # ---------------------------------------------------------------------------
 # torsion-free rank at the homology threshold
 
@@ -164,12 +158,6 @@ def uncovered_rank_trial(
         "torsion_free": int(not summary.torsion),
         "rank_equals_uncovered": int(summary.betti == unc),
     }
-
-
-def uncovered_rank_check(
-    n: int, p_scale: float, seeds, force_full: bool = False
-) -> list[dict]:
-    return [uncovered_rank_trial(n, p_scale, s, force_full=force_full) for s in seeds]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -171,25 +172,40 @@ _SHADOW_CHUNK = 4096
 def shadow(Y: Complex, p: int) -> ShadowSet:
     """The F_p-shadow of Y over all C(n,3) triples.
 
-    One echelon basis is built from the boundary columns of the faces and
-    every candidate boundary is reduced against it, in batches; this costs
-    one membership test per triple instead of a rank recomputation.
+    One echelon basis is built from the boundary columns of the faces.
+    Reduction against it is linear, so with R the residuals of the C(n,2)
+    unit edge vectors, the residual of the boundary of a < b < c is
+    R[:, bc] - R[:, ac] + R[:, ab] mod p, and the triple is a member iff
+    that sum vanishes. Rows of R that are zero add nothing to any sum and
+    are dropped; every pivot row is among them, which leaves at most
+    C(n,2) - rank rows. This reduces C(n,2) columns instead of C(n,3).
     """
     if Y.dim != 2:
         raise ValueError("shadow requires a 2-dimensional complex")
     n = Y.n
-    basis = EchelonBasis(p, math.comb(n, 2))
+    nedges = math.comb(n, 2)
+    basis = EchelonBasis(p, nedges)
     faces = Y.faces_sorted()
     if faces:
         cols = boundary_columns_dense(faces, n, 2)
         for j in range(cols.shape[1]):
             basis.insert(cols[:, j])
+    R = basis.reduce_columns(np.eye(nedges, dtype=np.int64))
+    R = R[R.any(axis=1)]
+    total = math.comb(n, 3)
+    a, b, c = (
+        np.fromiter(chain.from_iterable(triples_colex(n)), np.int64, 3 * total)
+        .reshape(total, 3)
+        .T
+    )
+    ab = b * (b - 1) // 2 + a
+    ac = c * (c - 1) // 2 + a
+    bc = c * (c - 1) // 2 + b
     bits = 0
-    all_triples = list(triples_colex(n))
-    for start in range(0, len(all_triples), _SHADOW_CHUNK):
-        chunk = all_triples[start : start + _SHADOW_CHUNK]
-        V = boundary_columns_dense(chunk, n, 2)
-        residual = basis.reduce_columns(V)
+    for start in range(0, total, _SHADOW_CHUNK):
+        chunk = slice(start, start + _SHADOW_CHUNK)
+        residual = R[:, bc[chunk]] - R[:, ac[chunk]] + R[:, ab[chunk]]
+        residual %= p
         member = ~residual.any(axis=0)
         packed = np.packbits(member, bitorder="little").tobytes()
         bits |= int.from_bytes(packed, "little") << start

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -13,6 +13,7 @@ from sympy.polys.domains import ZZ
 from conftest import rank_mod_p_oracle, rank_over_Q, random_complex
 from homoforge.complexes import Complex, edges_colex
 from homoforge.exact_linalg import (
+    _INITIAL_CAPACITY,
     EchelonBasis,
     MatrixFormatError,
     SparseIntMatrix,
@@ -44,6 +45,18 @@ def sparse_dense_matrices(draw):
     rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, -6, BIG, -BIG])
     return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def sparse_vectors(draw, nrows, p, count):
+    """count vectors of length nrows with one to three entries in [1, p)."""
+    vectors = []
+    for _ in range(count):
+        v = [0] * nrows
+        for r in draw(st.lists(st.integers(0, nrows - 1), min_size=1, max_size=3)):
+            v[r] = draw(st.integers(1, p - 1))
+        vectors.append(v)
+    return vectors
 
 
 def random_sparse(rng, max_dim=8, lo=-9, hi=9):
@@ -259,6 +272,32 @@ class TestEchelonBasis:
         outside = [rng.randrange(p) for _ in range(20)]
         assert rank_mod_p_oracle(basis + [outside], p) == 11
         assert not b.contains(np.array(outside, dtype=np.int64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sparse_inserts_match_oracle(self, data):
+        # a rank above twice the first capacity makes the buffer grow twice
+        p = data.draw(st.sampled_from([2, 3, 5, 2**31 - 1]), label="p")
+        nrows = data.draw(
+            st.integers(4 * _INITIAL_CAPACITY, 5 * _INITIAL_CAPACITY), label="nrows"
+        )
+        count = data.draw(st.integers(nrows, nrows + 8), label="count")
+        vectors = data.draw(sparse_vectors(nrows, p, count), label="vectors")
+        rank = rank_mod_p_oracle(vectors, p)
+        assume(rank > 2 * _INITIAL_CAPACITY)
+        b = EchelonBasis(p, nrows)
+        for v in vectors:
+            b.insert(np.array(v, dtype=np.int64))
+        assert b.rank == rank
+        pivots = b.pivots
+        for r, col in pivots.items():
+            assert col[r] == 1
+            assert not any(col[s] for s in pivots if s != r)
+        probes = vectors + data.draw(sparse_vectors(nrows, p, 8), label="probes")
+        batch = b.reduce_columns(np.array(probes, dtype=np.int64).T)
+        for j, w in enumerate(probes):
+            assert batch[:, j].tolist() == b.reduce(np.array(w)).tolist()
+        assert not batch[:, : len(vectors)].any()
 
 
 class TestSmithNormalForm:

@@ -9,10 +9,8 @@ from homoforge.experiments import (
     binomial_ci95,
     hitting_time_trial,
     run_campaign,
-    shadow_growth_run,
     shadow_growth_trial,
     torsion_scan,
-    uncovered_rank_check,
     uncovered_rank_trial,
 )
 from homoforge.homology import betti1_mod_p, homology_Z, is_H1_trivial_Z
@@ -74,8 +72,8 @@ class TestHittingTimeTrial:
 
 class TestShadowGrowth:
     def test_full_complex_has_zero_deficit(self):
-        rows = shadow_growth_run(8, 2, seeds=[0, 1], force_full=True)
-        assert all(r["deficit"] == 0 for r in rows)
+        for seed in (0, 1):
+            assert shadow_growth_trial(8, 2, seed, force_full=True)["deficit"] == 0
 
     def test_row_schema_and_budget(self):
         row = shadow_growth_trial(8, 2, seed=5)
@@ -90,11 +88,11 @@ class TestShadowGrowth:
 
 class TestUncoveredRank:
     def test_full_complex(self):
-        rows = uncovered_rank_check(8, 2.0, seeds=[3], force_full=True)
-        assert rows[0]["uncovered"] == 0
-        assert rows[0]["betti"] == 0
-        assert rows[0]["torsion_free"] == 1
-        assert rows[0]["rank_equals_uncovered"] == 1
+        row = uncovered_rank_trial(8, 2.0, 3, force_full=True)
+        assert row["uncovered"] == 0
+        assert row["betti"] == 0
+        assert row["torsion_free"] == 1
+        assert row["rank_equals_uncovered"] == 1
 
     def test_betti_dominates_uncovered(self):
         # the hard inequality: asserted inside the trial, verified here too

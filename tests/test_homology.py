@@ -171,7 +171,7 @@ class TestShadow:
         for _ in range(6):
             n = rng.randint(5, 7)
             Y = random_complex(n, rng.randint(0, 9), rng)
-            for p in (2, 3, 5):
+            for p in (2, 3, 5, 2**31 - 1):
                 sh = shadow(Y, p)
                 for t in triples_colex(n):
                     assert sh.contains(t) == definitional_member(Y, t, p), (Y, t, p)
