@@ -2,16 +2,12 @@
 
 from .complexes import (
     Complex,
-    LinkGraph,
     ProcessStream,
-    iterated_log,
-    link_subgraph,
     load_complex,
     min_edge_degree,
     rank_triple,
     sample_binomial,
     sample_fixed_size,
-    sample_process,
     save_complex,
     triples_colex,
     uncovered_edges,
@@ -42,7 +38,6 @@ from .homology import (
     betti1_mod_p,
     homology_Z,
     is_H1_trivial_Z,
-    prime_bound_log,
     shadow,
     shadow_size_deficit,
 )
@@ -52,11 +47,6 @@ from .shady_partitions import (
     ShadyReport,
     Thresholds,
     cascade,
-    claim_three_good_edges,
-    fan_triangulation_good,
-    five_triangle_move,
-    is_complete,
-    is_elementary,
     verify_shady,
 )
 

@@ -63,28 +63,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-bad", type=int)
     p.set_defaults(func=cmd_verify_partition)
 
-    p = sub.add_parser("hitting-time", help="hitting-time campaign over seeded trials")
-    _campaign_args(p)
-    p.set_defaults(func=cmd_hitting_time)
-
-    p = sub.add_parser("shadow-growth", help="shadow deficit campaign at M = (ln n / n) C(n,3)")
-    _campaign_args(p)
-    p.add_argument("--prime", type=int, default=2)
-    p.set_defaults(func=cmd_shadow_growth)
-
-    p = sub.add_parser("uncovered-rank", help="torsion-free rank vs uncovered edges campaign")
-    _campaign_args(p)
-    p.add_argument("--p-scale", type=float, default=2.0, help="p = p_scale * ln(n)/n")
-    p.set_defaults(func=cmd_uncovered_rank)
-
-    p = sub.add_parser("torsion-scan", help="torsion burst scan of the d-dimensional process")
-    _campaign_args(p)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--stride", type=int, default=5)
-    p.add_argument("-v", "--verbose", action="store_true", help="record exact torsion factors")
-    p.set_defaults(func=cmd_torsion_scan)
+    for kind in experiments.CAMPAIGN_KINDS:
+        help_text, options = _CAMPAIGN_COMMANDS[kind]
+        p = sub.add_parser(kind.replace("_", "-"), help=help_text)
+        _campaign_args(p)
+        for flags, kwargs in options:
+            p.add_argument(*flags, default=argparse.SUPPRESS, **kwargs)
+        p.set_defaults(func=cmd_campaign, kind=kind)
 
     return parser
+
+
+# The help of each campaign subcommand and the options it adds to
+# _campaign_args, as (flags, add_argument keywords). An option that is not
+# given leaves its CampaignConfig field at the default.
+_CAMPAIGN_COMMANDS = {
+    "hitting_time": ("hitting-time campaign over seeded trials", []),
+    "shadow_growth": ("shadow deficit campaign at M = (ln n / n) C(n,3)",
+                      [(["--prime"], {"type": int})]),
+    "uncovered_rank": ("torsion-free rank vs uncovered edges campaign",
+                       [(["--p-scale"], {"type": float, "help": "p = p_scale * ln(n)/n"})]),
+    "torsion_scan": ("torsion burst scan of the d-dimensional process", [
+        (["--d"], {"type": int}),
+        (["--stride"], {"type": int}),
+        (["-v", "--verbose"], {"dest": "verbose_factors", "action": "store_true",
+                               "help": "record exact torsion factors"}),
+    ]),
+}
 
 
 def _campaign_args(p: argparse.ArgumentParser) -> None:
@@ -104,14 +109,6 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
     if env:
         return int(env)
     return 1
-
-
-def _emit_campaign(args: argparse.Namespace, report: experiments.CampaignReport) -> None:
-    if not args.out:
-        if args.format == "json":
-            sys.stdout.write(json.dumps(report.rows, sort_keys=True) + "\n")
-        else:
-            sys.stdout.write(report.csv_text())
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -182,79 +179,32 @@ def cmd_verify_partition(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_hitting_time(args: argparse.Namespace) -> int:
+def cmd_campaign(args: argparse.Namespace) -> int:
+    options = {
+        name: getattr(args, name)
+        for name in ("d", "stride", "p_scale", "verbose_factors")
+        if name in args
+    }
+    if "prime" in args:
+        options["primes"] = (args.prime,)
     cfg = CampaignConfig(
-        kind="hitting_time",
+        kind=args.kind,
         n=args.n,
         trials=args.trials,
         seed_base=args.seed,
         jobs=_resolve_jobs(args),
         out=args.out,
+        **options,
     )
     report = run_campaign(cfg)
-    _emit_campaign(args, report)
+    if not args.out:
+        if args.format == "json":
+            sys.stdout.write(json.dumps(report.rows, sort_keys=True) + "\n")
+        else:
+            sys.stdout.write(report.csv_text())
     s = report.summary
-    print(f"equal_fraction={s['equal_fraction']} trials={s['trials']} n={args.n}")
-    return 0
-
-
-def cmd_shadow_growth(args: argparse.Namespace) -> int:
-    cfg = CampaignConfig(
-        kind="shadow_growth",
-        n=args.n,
-        trials=args.trials,
-        seed_base=args.seed,
-        primes=(args.prime,),
-        jobs=_resolve_jobs(args),
-        out=args.out,
-    )
-    report = run_campaign(cfg)
-    _emit_campaign(args, report)
-    s = report.summary
-    print(
-        f"mean_deficit={s['mean_deficit']} fraction_exceeding={s['fraction_exceeding']} "
-        f"trials={s['trials']} n={args.n}"
-    )
-    return 0
-
-
-def cmd_uncovered_rank(args: argparse.Namespace) -> int:
-    cfg = CampaignConfig(
-        kind="uncovered_rank",
-        n=args.n,
-        trials=args.trials,
-        seed_base=args.seed,
-        p_scale=args.p_scale,
-        jobs=_resolve_jobs(args),
-        out=args.out,
-    )
-    report = run_campaign(cfg)
-    _emit_campaign(args, report)
-    s = report.summary
-    print(f"fraction_ok={s['fraction_ok']} trials={s['trials']} n={args.n}")
-    return 0
-
-
-def cmd_torsion_scan(args: argparse.Namespace) -> int:
-    cfg = CampaignConfig(
-        kind="torsion_scan",
-        n=args.n,
-        trials=args.trials,
-        seed_base=args.seed,
-        d=args.d,
-        stride=args.stride,
-        jobs=_resolve_jobs(args),
-        out=args.out,
-        verbose_factors=args.verbose,
-    )
-    report = run_campaign(cfg)
-    _emit_campaign(args, report)
-    s = report.summary
-    print(
-        f"max_ln_torsion={s['max_ln_torsion']} "
-        f"fraction_with_torsion={s['fraction_with_torsion']} "
-        f"trials={s['trials']} n={args.n}"
-    )
+    printed = experiments.CAMPAIGN_KINDS[args.kind].printed
+    print(*(f"{key}={s[key]}" for key in printed), f"n={args.n}")
     return 0
 
 

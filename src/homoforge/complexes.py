@@ -99,16 +99,12 @@ def face_edges(face: Sequence[int]) -> list[tuple[int, int]]:
     return [(face[i], face[j]) for i in range(k) for j in range(i + 1, k)]
 
 
-def iterated_log(x: float, i: int) -> float:
-    """Natural logarithm applied i times; raises if an intermediate value is <= 0."""
-    if i < 0:
-        raise ValueError("iteration count must be nonnegative")
-    v = float(x)
-    for _ in range(i):
-        if v <= 0.0:
-            raise ValueError(f"iterated log undefined: intermediate value {v} <= 0")
-        v = math.log(v)
-    return v
+def iter_set_bits(bits: int) -> Iterator[int]:
+    """Positions of the set bits of a rank bitset, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -210,71 +206,6 @@ def _require_dim2(Y: Complex) -> None:
 
 
 # ---------------------------------------------------------------------------
-# vertex links
-
-
-class LinkGraph:
-    """The link of a vertex restricted to a vertex set W: edge xy iff xyv is a face."""
-
-    __slots__ = ("vertices", "adjacency")
-
-    def __init__(self, vertices: Iterable[int]):
-        self.vertices: frozenset[int] = frozenset(vertices)
-        self.adjacency: dict[int, set[int]] = {w: set() for w in self.vertices}
-
-    def add_edge(self, x: int, y: int) -> None:
-        self.adjacency[x].add(y)
-        self.adjacency[y].add(x)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(s) for s in self.adjacency.values()) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(x, y) for x in self.adjacency for y in self.adjacency[x] if x < y]
-
-    def connected_components(self) -> list[set[int]]:
-        """BFS components, largest first; singletons included."""
-        seen: set[int] = set()
-        comps: list[set[int]] = []
-        for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                x = frontier.pop()
-                for y in self.adjacency[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        frontier.append(y)
-            seen |= comp
-            comps.append(comp)
-        comps.sort(key=len, reverse=True)
-        return comps
-
-
-def link_subgraph(Y: Complex, v: int, W: Iterable[int]) -> LinkGraph:
-    """Graph on W with an edge xy whenever {x,y,v} is a face of Y."""
-    _require_dim2(Y)
-    Wset = frozenset(W)
-    if v in Wset:
-        raise ValueError(f"apex vertex {v} must not lie in W")
-    if not 0 <= v < Y.n:
-        raise ValueError(f"vertex {v} out of range")
-    for w in Wset:
-        if not 0 <= w < Y.n:
-            raise ValueError(f"vertex {w} out of range")
-    g = LinkGraph(Wset)
-    for f in Y.faces:
-        if v in f:
-            x, y = (u for u in f if u != v)
-            if x in Wset and y in Wset:
-                g.add_edge(x, y)
-    return g
-
-
-# ---------------------------------------------------------------------------
 # random models
 
 
@@ -322,13 +253,6 @@ class ProcessStream:
         return [next(self) for _ in range(min(m, self.total - self._pos))]
 
 
-def sample_process(n: int, seed: int) -> ProcessStream:
-    """The random triangle process: a uniform ordering of all C(n,3) triples."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    return ProcessStream(n, seed, dim=2)
-
-
 def sample_fixed_size(n: int, M: int, seed: int, dim: int = 2) -> Complex:
     """The fixed-size model: the first M faces of the seeded process."""
     stream = ProcessStream(n, seed, dim=dim)
@@ -368,14 +292,29 @@ def complex_to_json(Y: Complex) -> str:
     return json.dumps(doc)
 
 
+def json_int_field(doc, key: str, what: str) -> int:
+    """doc[key] of a parsed JSON object; ValueError naming the field otherwise."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{what} missing field {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def complex_from_json(text: str) -> Complex:
     doc = json.loads(text)
-    for key in ("n", "dim", "faces"):
-        if key not in doc:
-            raise ValueError(f"complex JSON missing field {key!r}")
-    n, dim = doc["n"], doc["dim"]
+    n = json_int_field(doc, "n", "complex JSON")
+    dim = json_int_field(doc, "dim", "complex JSON")
+    if "faces" not in doc:
+        raise ValueError("complex JSON missing field 'faces'")
+    faces = doc["faces"]
+    if not isinstance(faces, list) or not all(
+        isinstance(f, list) and all(isinstance(v, int) for v in f) for f in faces
+    ):
+        raise ValueError("complex JSON field 'faces' must be a list of integer lists")
     Y = Complex(n, dim)
-    for raw in doc["faces"]:
+    for raw in faces:
         Y.add_face(_shift_to_internal(raw, n))
     return Y
 

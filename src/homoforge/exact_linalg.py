@@ -233,7 +233,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _check_prime(p: int) -> None:
+def check_prime(p: int) -> None:
     if p >= 2**31:
         raise ValueError(f"modulus {p} exceeds the supported word-sized range")
     if not is_prime(p):
@@ -246,7 +246,7 @@ def _check_prime(p: int) -> None:
 
 def rank_mod_p(M: SparseIntMatrix | np.ndarray, p: int) -> int:
     """Rank of M over F_p by dense Gaussian elimination."""
-    _check_prime(p)
+    check_prime(p)
     if isinstance(M, SparseIntMatrix):
         A = np.zeros((M.rows, M.cols), dtype=np.int64)
         for (r, c), v in M.entries.items():
@@ -296,7 +296,7 @@ class EchelonBasis:
     __slots__ = ("p", "nrows", "_buf", "_pivot_rows", "_rank")
 
     def __init__(self, p: int, nrows: int):
-        _check_prime(p)
+        check_prime(p)
         if nrows < 0:
             raise ValueError("row dimension must be nonnegative")
         self.p = p

@@ -3,6 +3,11 @@
 Every trial is a pure function of (parameters, seed); campaigns assign
 seeds seed_base + i and aggregate in seed order, so identical configs
 produce byte-identical artifacts.
+
+CAMPAIGN_KINDS is the one table of what a campaign kind is: the trial,
+which turns a config and a seed into a CSV row plus long-format trace rows;
+the summary over all rows; and the summary keys the CLI prints. run_campaign
+and the CLI's campaign subcommands read every per-kind decision from it.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .complexes import (
     Complex,
@@ -23,14 +29,13 @@ from .complexes import (
     sample_fixed_size,
     uncovered_edges,
 )
-from .exact_linalg import EchelonBasis, boundary_vector_dense, is_prime
+from .exact_linalg import EchelonBasis, boundary_vector_dense, check_prime
 from .homology import (
     HomologySummary,
     cycle_space_dim,
     homology_Z,
     shadow_size_deficit,
 )
-from .shady_partitions import Thresholds
 
 
 @dataclass(frozen=True)
@@ -254,12 +259,11 @@ def torsion_scan(
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    kind: str  # hitting_time | shadow_growth | uncovered_rank | torsion_scan
+    kind: str  # a key of CAMPAIGN_KINDS
     n: int
     trials: int
     seed_base: int
     primes: tuple[int, ...] = (2,)
-    thresholds: Thresholds | None = None
     d: int = 2
     stride: int = 5
     p_scale: float = 2.0
@@ -268,18 +272,17 @@ class CampaignConfig:
     verbose_factors: bool = False
 
     def validate(self) -> None:
-        if self.kind not in _CAMPAIGN_KINDS:
+        if self.kind not in CAMPAIGN_KINDS:
             raise ValueError(f"unknown campaign kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         for p in self.primes:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            check_prime(p)
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "kind": self.kind,
             "n": self.n,
             "trials": self.trials,
@@ -289,9 +292,6 @@ class CampaignConfig:
             "stride": self.stride,
             "p_scale": self.p_scale,
         }
-        if self.thresholds is not None:
-            doc["thresholds"] = self.thresholds.to_dict()
-        return doc
 
 
 @dataclass
@@ -302,24 +302,19 @@ class CampaignReport:
     trace_rows: list[dict] = field(default_factory=list)
 
     def csv_text(self) -> str:
-        return _rows_to_csv(self.rows)
-
-    def trace_csv_text(self) -> str:
-        return _rows_to_csv(self.trace_rows)
+        if not self.rows:
+            return ""
+        buf = io.StringIO()
+        writer = csv.DictWriter(
+            buf, fieldnames=list(self.rows[0].keys()), lineterminator="\n"
+        )
+        writer.writeheader()
+        writer.writerows(self.rows)
+        return buf.getvalue()
 
     def json_text(self) -> str:
         doc = {"config": self.config.to_json_dict(), "summary": self.summary}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _rows_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def binomial_ci95(successes: int, trials: int) -> tuple[float, float]:
@@ -339,105 +334,70 @@ def _mean(values) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _run_one(cfg: CampaignConfig, seed: int):
-    if cfg.kind == "hitting_time":
-        t = hitting_time_trial(cfg.n, seed)
-        return {
-            "n": t.n,
-            "seed": t.seed,
-            "h_delta": t.h_delta,
-            "h_f2": t.h_f2,
-            "h_z": t.h_z,
-            "equal_flag": int(t.equal_flag),
-            "torsion_at_h_delta": ";".join(map(str, t.torsion_at_h_delta)),
-        }
-    if cfg.kind == "shadow_growth":
-        return shadow_growth_trial(cfg.n, cfg.primes[0], seed)
-    if cfg.kind == "uncovered_rank":
-        return uncovered_rank_trial(cfg.n, cfg.p_scale, seed)
-    if cfg.kind == "torsion_scan":
-        return torsion_scan(
-            cfg.n, cfg.d, cfg.stride, seed, keep_factors=cfg.verbose_factors
-        )
-    raise ValueError(f"unknown campaign kind {cfg.kind!r}")
+# ---------------------------------------------------------------------------
+# the campaign kinds: per-trial rows and summaries
 
 
-_CAMPAIGN_KINDS = ("hitting_time", "shadow_growth", "uncovered_rank", "torsion_scan")
+def _hitting_time_rows(cfg: CampaignConfig, seed: int) -> tuple[dict, list[dict]]:
+    t = hitting_time_trial(cfg.n, seed)
+    row = {
+        "n": t.n,
+        "seed": t.seed,
+        "h_delta": t.h_delta,
+        "h_f2": t.h_f2,
+        "h_z": t.h_z,
+        "equal_flag": int(t.equal_flag),
+        "torsion_at_h_delta": ";".join(map(str, t.torsion_at_h_delta)),
+    }
+    return row, []
 
 
-def run_campaign(cfg: CampaignConfig) -> CampaignReport:
-    """Execute trials with seeds seed_base + i, aggregate, and write artifacts.
-
-    With cfg.out set, writes <out>.csv (one row per trial), <out>.json
-    (config + aggregates) and, for torsion scans, <out>_trace.csv in long
-    (seed, step, metric, value) format. CSV rows are flushed as trials
-    finish so partial results survive interruption.
-    """
-    cfg.validate()
-    seeds = [cfg.seed_base + i for i in range(cfg.trials)]
-    rows: list[dict] = []
-    trace_rows: list[dict] = []
-    writer = _StreamingCsv(f"{cfg.out}.csv") if cfg.out else None
-    trace_writer = (
-        _StreamingCsv(f"{cfg.out}_trace.csv")
-        if cfg.out and cfg.kind == "torsion_scan"
-        else None
-    )
-    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
-    try:
-        if pool is not None:
-            result_iter = pool.map(_run_one, [cfg] * len(seeds), seeds)
-        else:
-            result_iter = (_run_one(cfg, s) for s in seeds)
-        for res in result_iter:
-            if cfg.kind == "torsion_scan":
-                row, extra = _torsion_rows(res)
-            else:
-                row, extra = res, []
-            rows.append(row)
-            trace_rows.extend(extra)
-            if writer:
-                writer.write_row(row)
-            if trace_writer:
-                for tr in extra:
-                    trace_writer.write_row(tr)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-        if writer:
-            writer.close()
-        if trace_writer:
-            trace_writer.close()
-
-    summary = _summarize(cfg, rows)
-    report = CampaignReport(cfg, rows, summary, trace_rows)
-    if cfg.out:
-        with open(f"{cfg.out}.json", "w", newline="\n") as fh:
-            fh.write(report.json_text())
-    return report
+def _hitting_time_summary(rows: list[dict]) -> dict:
+    t = len(rows)
+    eq = sum(r["equal_flag"] for r in rows)
+    lo, hi = binomial_ci95(eq, t)
+    return {
+        "trials": t,
+        "equal_fraction": eq / t,
+        "equal_ci95": [lo, hi],
+        "mean_h_delta": _mean(r["h_delta"] for r in rows),
+        "mean_h_f2": _mean(r["h_f2"] for r in rows),
+        "mean_h_z": _mean(r["h_z"] for r in rows),
+        "torsion_at_h_delta_fraction": _mean(
+            1.0 if r["torsion_at_h_delta"] else 0.0 for r in rows
+        ),
+    }
 
 
-class _StreamingCsv:
-    """Per-row flushed CSV so interrupted campaigns keep finished trials."""
-
-    def __init__(self, path: str):
-        self._fh = open(path, "w", newline="\n")
-        self._writer: csv.DictWriter | None = None
-
-    def write_row(self, row: dict) -> None:
-        if self._writer is None:
-            self._writer = csv.DictWriter(
-                self._fh, fieldnames=list(row.keys()), lineterminator="\n"
-            )
-            self._writer.writeheader()
-        self._writer.writerow(row)
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
+def _shadow_growth_summary(rows: list[dict]) -> dict:
+    return {
+        "trials": len(rows),
+        "M": rows[0]["M"] if rows else 0,
+        "mean_deficit": _mean(r["deficit"] for r in rows),
+        "max_deficit": max((r["deficit"] for r in rows), default=0),
+        "fraction_exceeding": _mean(r["exceeds_budget"] for r in rows),
+    }
 
 
-def _torsion_rows(t: TorsionTrace) -> tuple[dict, list[dict]]:
+def _uncovered_rank_summary(rows: list[dict]) -> dict:
+    t = len(rows)
+    both = sum(r["torsion_free"] and r["rank_equals_uncovered"] for r in rows)
+    lo, hi = binomial_ci95(both, t)
+    return {
+        "trials": t,
+        "fraction_ok": both / t,
+        "fraction_ok_ci95": [lo, hi],
+        "fraction_torsion_free": _mean(r["torsion_free"] for r in rows),
+        "fraction_rank_equals_uncovered": _mean(
+            r["rank_equals_uncovered"] for r in rows
+        ),
+        "mean_uncovered": _mean(r["uncovered"] for r in rows),
+    }
+
+
+def _torsion_scan_rows(cfg: CampaignConfig, seed: int) -> tuple[dict, list[dict]]:
+    """One row per run, and (seed, step, metric, value) trace rows per sample."""
+    t = torsion_scan(cfg.n, cfg.d, cfg.stride, seed, keep_factors=cfg.verbose_factors)
     row = {
         "n": t.n,
         "d": t.d,
@@ -471,52 +431,126 @@ def _torsion_rows(t: TorsionTrace) -> tuple[dict, list[dict]]:
     return row, trace_rows
 
 
-def _summarize(cfg: CampaignConfig, rows: list[dict]) -> dict:
-    t = len(rows)
-    if cfg.kind == "hitting_time":
-        eq = sum(r["equal_flag"] for r in rows)
-        lo, hi = binomial_ci95(eq, t)
-        return {
-            "trials": t,
-            "equal_fraction": eq / t,
-            "equal_ci95": [lo, hi],
-            "mean_h_delta": _mean(r["h_delta"] for r in rows),
-            "mean_h_f2": _mean(r["h_f2"] for r in rows),
-            "mean_h_z": _mean(r["h_z"] for r in rows),
-            "torsion_at_h_delta_fraction": _mean(
-                1.0 if r["torsion_at_h_delta"] else 0.0 for r in rows
-            ),
-        }
-    if cfg.kind == "shadow_growth":
-        return {
-            "trials": t,
-            "M": rows[0]["M"] if rows else 0,
-            "mean_deficit": _mean(r["deficit"] for r in rows),
-            "max_deficit": max((r["deficit"] for r in rows), default=0),
-            "fraction_exceeding": _mean(r["exceeds_budget"] for r in rows),
-        }
-    if cfg.kind == "uncovered_rank":
-        both = sum(r["torsion_free"] and r["rank_equals_uncovered"] for r in rows)
-        lo, hi = binomial_ci95(both, t)
-        return {
-            "trials": t,
-            "fraction_ok": both / t,
-            "fraction_ok_ci95": [lo, hi],
-            "fraction_torsion_free": _mean(r["torsion_free"] for r in rows),
-            "fraction_rank_equals_uncovered": _mean(
-                r["rank_equals_uncovered"] for r in rows
-            ),
-            "mean_uncovered": _mean(r["uncovered"] for r in rows),
-        }
-    if cfg.kind == "torsion_scan":
-        return {
-            "trials": t,
-            "fraction_with_torsion": _mean(r["torsion_seen"] for r in rows),
-            "max_ln_torsion": max((r["max_ln_torsion"] for r in rows), default=0.0),
-            "max_ln_torsion_per_seed": {
-                str(r["seed"]): r["max_ln_torsion"] for r in rows
-            },
-        }
-    raise ValueError(f"unknown campaign kind {cfg.kind!r}")
+def _torsion_scan_summary(rows: list[dict]) -> dict:
+    return {
+        "trials": len(rows),
+        "fraction_with_torsion": _mean(r["torsion_seen"] for r in rows),
+        "max_ln_torsion": max((r["max_ln_torsion"] for r in rows), default=0.0),
+        "max_ln_torsion_per_seed": {str(r["seed"]): r["max_ln_torsion"] for r in rows},
+    }
 
 
+@dataclass(frozen=True)
+class CampaignKind:
+    """What one campaign kind runs per trial and reports.
+
+    trial(cfg, seed) returns the trial's CSV row and its long-format trace
+    rows, empty for kinds without a trace; summarize(rows) returns the
+    summary of the finished campaign; printed names the summary keys the
+    CLI prints, in order.
+    """
+
+    trial: Callable[[CampaignConfig, int], tuple[dict, list[dict]]]
+    summarize: Callable[[list[dict]], dict]
+    printed: tuple[str, ...]
+
+
+CAMPAIGN_KINDS = {
+    "hitting_time": CampaignKind(
+        _hitting_time_rows, _hitting_time_summary, ("equal_fraction", "trials")
+    ),
+    "shadow_growth": CampaignKind(
+        lambda cfg, seed: (shadow_growth_trial(cfg.n, cfg.primes[0], seed), []),
+        _shadow_growth_summary,
+        ("mean_deficit", "fraction_exceeding", "trials"),
+    ),
+    "uncovered_rank": CampaignKind(
+        lambda cfg, seed: (uncovered_rank_trial(cfg.n, cfg.p_scale, seed), []),
+        _uncovered_rank_summary,
+        ("fraction_ok", "trials"),
+    ),
+    "torsion_scan": CampaignKind(
+        _torsion_scan_rows,
+        _torsion_scan_summary,
+        ("max_ln_torsion", "fraction_with_torsion", "trials"),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# running a campaign
+
+
+def _run_one(cfg: CampaignConfig, seed: int) -> tuple[dict, list[dict]]:
+    return CAMPAIGN_KINDS[cfg.kind].trial(cfg, seed)
+
+
+def run_campaign(cfg: CampaignConfig) -> CampaignReport:
+    """Execute trials with seeds seed_base + i, aggregate, and write artifacts.
+
+    With cfg.out set, writes <out>.csv (one row per trial), <out>.json
+    (config + aggregates) and, for kinds whose trials return trace rows,
+    <out>_trace.csv in long (seed, step, metric, value) format. CSV rows are
+    flushed as trials finish so partial results survive interruption.
+    """
+    cfg.validate()
+    seeds = [cfg.seed_base + i for i in range(cfg.trials)]
+    rows: list[dict] = []
+    trace_rows: list[dict] = []
+    writer = _StreamingCsv(f"{cfg.out}.csv") if cfg.out else None
+    trace_writer = _StreamingCsv(f"{cfg.out}_trace.csv") if cfg.out else None
+    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
+    try:
+        if pool is not None:
+            result_iter = pool.map(_run_one, [cfg] * len(seeds), seeds)
+        else:
+            result_iter = (_run_one(cfg, s) for s in seeds)
+        for row, extra in result_iter:
+            rows.append(row)
+            trace_rows.extend(extra)
+            if writer:
+                writer.write_row(row)
+            if trace_writer:
+                for tr in extra:
+                    trace_writer.write_row(tr)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+        if writer:
+            writer.close()
+        if trace_writer:
+            trace_writer.close()
+
+    summary = CAMPAIGN_KINDS[cfg.kind].summarize(rows)
+    report = CampaignReport(cfg, rows, summary, trace_rows)
+    if cfg.out:
+        with open(f"{cfg.out}.json", "w", newline="\n") as fh:
+            fh.write(report.json_text())
+    return report
+
+
+class _StreamingCsv:
+    """Per-row flushed CSV so interrupted campaigns keep finished trials.
+
+    The file is created with the first row, so a kind without trace rows
+    leaves no trace file.
+    """
+
+    def __init__(self, path: str):
+        self._path = path
+        self._fh = None
+        self._writer: csv.DictWriter | None = None
+
+    def write_row(self, row: dict) -> None:
+        if self._writer is None:
+            self._fh = open(self._path, "w", newline="\n")
+            self._writer = csv.DictWriter(
+                self._fh, fieldnames=list(row.keys()), lineterminator="\n"
+            )
+            self._writer.writeheader()
+        self._writer.writerow(row)
+        self._fh.flush()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()

@@ -9,7 +9,13 @@ from itertools import chain
 
 import numpy as np
 
-from .complexes import Complex, triples_colex, uncovered_edges, unrank_triple
+from .complexes import (
+    Complex,
+    iter_set_bits,
+    triples_colex,
+    uncovered_edges,
+    unrank_triple,
+)
 from .exact_linalg import (
     EchelonBasis,
     boundary_columns_dense,
@@ -77,13 +83,6 @@ def is_H1_trivial_Z(Y: Complex) -> bool:
     return homology_Z(Y).trivial
 
 
-def prime_bound_log(n: int) -> float:
-    """ln of the torsion prime bound for n-vertex complexes: C(n-1,2) * ln(3) / 2."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return math.comb(n - 1, 2) * math.log(3.0) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # shadows
 
@@ -93,15 +92,16 @@ class ShadowSet:
 
     A triple belongs to the shadow iff adding it leaves H_1(.; F_p)
     unchanged, equivalently iff its boundary lies in the span of the
-    boundary columns of the existing faces.
+    boundary columns of the existing faces. Bit r of bits is set iff the
+    triple of colex rank r is a member.
     """
 
-    __slots__ = ("n", "p", "_bits")
+    __slots__ = ("n", "p", "bits")
 
     def __init__(self, n: int, p: int, bits: int = 0):
         self.n = n
         self.p = p
-        self._bits = bits
+        self.bits = bits
 
     @property
     def total(self) -> int:
@@ -109,14 +109,14 @@ class ShadowSet:
 
     @property
     def size(self) -> int:
-        return self._bits.bit_count()
+        return self.bits.bit_count()
 
     @property
     def deficit(self) -> int:
         return self.total - self.size
 
     def contains_rank(self, r: int) -> bool:
-        return bool(self._bits >> r & 1)
+        return bool(self.bits >> r & 1)
 
     def contains(self, t) -> bool:
         from .complexes import rank_triple
@@ -124,11 +124,7 @@ class ShadowSet:
         return self.contains_rank(rank_triple(t, self.n))
 
     def member_ranks(self):
-        bits = self._bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter_set_bits(self.bits)
 
     def members(self):
         for r in self.member_ranks():
@@ -140,7 +136,7 @@ class ShadowSet:
     def to_bytes(self) -> bytes:
         """Length-prefixed bitset: 8-byte little-endian bit count, then payload."""
         nbits = self.total
-        payload = self._bits.to_bytes((nbits + 7) // 8, "little")
+        payload = self.bits.to_bytes((nbits + 7) // 8, "little")
         return nbits.to_bytes(8, "little") + payload
 
     @classmethod

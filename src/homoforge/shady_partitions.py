@@ -16,17 +16,12 @@ from typing import Iterable, Sequence
 from .complexes import (
     Complex,
     face_edges,
+    iter_set_bits,
+    json_int_field,
     rank_triple,
     unrank_triple,
 )
 from .homology import ShadowSet
-
-
-def _iter_bits(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 @dataclass(frozen=True)
@@ -61,20 +56,15 @@ class Thresholds:
 
 
 class PartitionLabels:
-    """A good/bad partition of all C(n,3) triples, bad side stored as a bitset.
+    """A good/bad partition of all C(n,3) triples, bad side stored as a bitset."""
 
-    A separate certification bitset caches triples proven good by a
-    triangulation move, so repeated moves do not recompute.
-    """
-
-    __slots__ = ("n", "_bad", "_certified")
+    __slots__ = ("n", "_bad")
 
     def __init__(self, n: int, bad_bits: int = 0):
         if n < 3:
             raise ValueError(f"need n >= 3, got {n}")
         self.n = n
         self._bad = bad_bits
-        self._certified = 0
 
     @classmethod
     def from_bad_triples(cls, n: int, bad: Iterable[Sequence[int]]) -> "PartitionLabels":
@@ -87,7 +77,7 @@ class PartitionLabels:
     def from_shadow_complement(cls, sh: ShadowSet) -> "PartitionLabels":
         """Bad = triples outside the shadow (the shadow members are good)."""
         full = (1 << math.comb(sh.n, 3)) - 1
-        return cls(sh.n, full & ~sh._bits)
+        return cls(sh.n, full & ~sh.bits)
 
     @property
     def total(self) -> int:
@@ -107,17 +97,11 @@ class PartitionLabels:
         return not self.is_bad(t)
 
     def bad_ranks(self):
-        return _iter_bits(self._bad)
+        return iter_set_bits(self._bad)
 
     def bad_triples(self):
         for r in self.bad_ranks():
             yield unrank_triple(r, self.n)
-
-    def certify(self, t: Sequence[int]) -> None:
-        self._certified |= 1 << rank_triple(tuple(sorted(t)), self.n)
-
-    def is_certified(self, t: Sequence[int]) -> bool:
-        return bool(self._certified >> rank_triple(tuple(sorted(t)), self.n) & 1)
 
     def well_formed_for(self, Y: Complex) -> bool:
         """No face of Y may be labeled bad."""
@@ -137,14 +121,15 @@ class PartitionLabels:
             header_line = fh.readline()
             payload = fh.read()
         header = json.loads(header_line.decode())
-        n = header["n"]
+        n = json_int_field(header, "n", "labels header")
+        count_bad = json_int_field(header, "count_bad", "labels header")
         expected = (math.comb(n, 3) + 7) // 8
         if len(payload) != expected:
             raise ValueError(
                 f"labels payload has {len(payload)} bytes, expected {expected}"
             )
         labels = cls(n, int.from_bytes(payload, "little"))
-        if labels.count_bad != header["count_bad"]:
+        if labels.count_bad != count_bad:
             raise ValueError("labels header count_bad does not match payload")
         return labels
 
@@ -174,22 +159,6 @@ def cascade(L: PartitionLabels, T: Thresholds) -> CascadeResult:
         vertex_counts[b] = vertex_counts.get(b, 0) + 1
     bad_vertices = frozenset(v for v, c in vertex_counts.items() if c > T.theta_vertex)
     return CascadeResult(bad_edges=bad_edges, bad_vertices=bad_vertices)
-
-
-def is_elementary(C: CascadeResult) -> bool:
-    """True iff the bad edges are pairwise vertex-disjoint."""
-    seen: set[int] = set()
-    for a, b in C.bad_edges:
-        if a in seen or b in seen:
-            return False
-        seen.add(a)
-        seen.add(b)
-    return True
-
-
-def is_complete(L: PartitionLabels) -> bool:
-    """True iff every triple is good."""
-    return L.count_bad == 0
 
 
 def _has_good_cone(L: PartitionLabels, t: tuple[int, int, int]) -> bool:
@@ -262,70 +231,3 @@ def verify_shady(Y: Complex, L: PartitionLabels, T: Thresholds) -> ShadyReport:
         bad_vertices=len(casc.bad_vertices),
         thresholds=T,
     )
-
-
-def claim_three_good_edges(
-    L: PartitionLabels, C: CascadeResult, T: Thresholds
-) -> list[tuple[int, int, int]]:
-    """Diagnostic scan for bad triples whose three edges are all good.
-
-    Returns every triple that is labeled bad, has no bad edge, and admits
-    an apex with a fully good cone. On shadow-derived labelings with sane
-    thresholds the scan comes back empty; at small n it is a report, not
-    an assertion.
-    """
-    violations = []
-    for t in L.bad_triples():
-        if any(e in C.bad_edges for e in face_edges(t)):
-            continue
-        if _has_good_cone(L, t):
-            violations.append(t)
-    return violations
-
-
-def fan_triangulation_good(
-    L: PartitionLabels,
-    v: int,
-    x: int,
-    y: int,
-    path: Sequence[int],
-    Y: Complex,
-) -> bool:
-    """Certify the triple vxy good via a fan over a link path.
-
-    The path x = x0, ..., xs = y must step along edges of the link of v
-    (each consecutive pair spans a face with v, which is checked and
-    raises otherwise). The fan closes iff every triangle {y, xi, xi+1}
-    for i <= s-2 is good; on success vxy is marked certified.
-    """
-    n = L.n
-    for u in (v, x, y, *path):
-        if not 0 <= u < n:
-            raise ValueError(f"vertex {u} out of range")
-    if len(path) < 2 or path[0] != x or path[-1] != y:
-        raise ValueError("path must start at x and end at y")
-    if v in path:
-        raise ValueError("apex v must not lie on the path")
-    if len(set(path)) != len(path):
-        raise ValueError("path must not repeat vertices")
-    for a, b in zip(path, path[1:]):
-        if not Y.has_face(tuple(sorted((v, a, b)))):
-            raise ValueError(f"pair ({a},{b}) is not an edge of the link of {v}")
-    for i in range(len(path) - 2):
-        if not L.is_good(tuple(sorted((y, path[i], path[i + 1])))):
-            return False
-    L.certify((v, x, y))
-    return True
-
-
-def five_triangle_move(
-    L: PartitionLabels, x: int, y: int, z: int, v: int, w: int
-) -> bool:
-    """Certify xyz good from the five surrounding triangles xyv, vxw, xzw, zyw, yvw."""
-    if len({x, y, z, v, w}) != 5:
-        raise ValueError("the five vertices must be distinct")
-    needed = [(x, y, v), (v, x, w), (x, z, w), (z, y, w), (y, v, w)]
-    if all(L.is_good(tuple(sorted(t))) for t in needed):
-        L.certify((x, y, z))
-        return True
-    return False

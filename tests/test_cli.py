@@ -68,6 +68,20 @@ class TestHomologyCmd:
     def test_missing_file_is_io_error(self):
         assert main(["homology", "--in", "/nonexistent/x.json"]) == 1
 
+    def test_malformed_json_fields_are_usage_errors(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        for doc, field in (
+            ({"n": "7", "dim": 2, "faces": []}, "'n'"),
+            ({"n": 7, "dim": 2.0, "faces": []}, "'dim'"),
+            ({"n": 7, "dim": 2, "faces": [1]}, "'faces'"),
+            ({"n": 7, "dim": 2, "faces": [["1", "2", "3"]]}, "'faces'"),
+            ({"n": 7, "dim": 2, "faces": {"1": 2}}, "'faces'"),
+        ):
+            path.write_text(json.dumps(doc))
+            assert main(["homology", "--in", str(path)]) == 2, doc
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and field in err, (doc, err)
+
 
 class TestSnfCmd:
     def test_identity(self, tmp_path, capsys):
@@ -160,6 +174,23 @@ class TestVerifyPartitionCmd:
         )
         assert code == 0
 
+    def test_malformed_labels_header_is_usage_error(self, tmp_path, capsys):
+        cpath = write_complex(tmp_path, Complex(7))
+        lpath = tmp_path / "labels.bits"
+        payload = bytes((math.comb(7, 3) + 7) // 8)
+        for header, field in (
+            ({"count_bad": 0}, "'n'"),
+            ({"n": 7}, "'count_bad'"),
+            ({"n": "7", "count_bad": 0}, "'n'"),
+            ({"n": 7, "count_bad": None}, "'count_bad'"),
+            ([7, 0], "'n'"),
+        ):
+            lpath.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+            code = main(["verify-partition", "--in", cpath, "--labels", str(lpath)])
+            assert code == 2, header
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and field in err, (header, err)
+
     def test_size_mismatch(self, tmp_path, capsys):
         cpath = write_complex(tmp_path, Complex(6))
         lpath = tmp_path / "labels.bits"
@@ -171,9 +202,11 @@ class TestCampaignCmds:
     def test_hitting_time_summary_line(self, tmp_path, capsys):
         code = main(["hitting-time", "--n", "4", "--trials", "1", "--seed", "7"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "equal_fraction=1.0 trials=1 n=4" in out
-        assert "h_delta" in out  # csv header on stdout
+        assert capsys.readouterr().out.splitlines() == [
+            "n,seed,h_delta,h_f2,h_z,equal_flag,torsion_at_h_delta",
+            "4,7,3,3,3,1,",
+            "equal_fraction=1.0 trials=1 n=4",
+        ]
 
     def test_missing_n(self, capsys):
         assert main(["hitting-time", "--trials", "1", "--seed", "7"]) == 2
@@ -205,14 +238,30 @@ class TestCampaignCmds:
              "--prime", "2"]
         )
         assert code == 0
-        assert "mean_deficit=" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n,p,seed,M,deficit,exceeds_budget"
+        assert lines[-1] == "mean_deficit=37.5 fraction_exceeding=0.0 trials=2 n=8"
+
+    def test_prime_beyond_word_range_rejected_before_output(self, tmp_path, capsys):
+        out = tmp_path / "X"
+        code = main(
+            ["shadow-growth", "--n", "8", "--trials", "1", "--seed", "3",
+             "--prime", "2147483659", "--out", str(out)]
+        )
+        assert code == 2
+        assert "word-sized range" in capsys.readouterr().err
+        assert not (tmp_path / "X.csv").exists()
 
     def test_uncovered_rank_cmd(self, capsys):
         code = main(
             ["uncovered-rank", "--n", "10", "--trials", "2", "--seed", "5"]
         )
         assert code == 0
-        assert "fraction_ok=" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "n,p,seed,uncovered,betti,torsion_free,rank_equals_uncovered"
+        )
+        assert lines[-1] == "fraction_ok=1.0 trials=2 n=10"
 
     def test_torsion_scan_cmd(self, tmp_path, capsys):
         code = main(
@@ -220,8 +269,15 @@ class TestCampaignCmds:
              "--stride", "10", "--out", str(tmp_path / "ts")]
         )
         assert code == 0
-        assert "max_ln_torsion=" in capsys.readouterr().out
-        assert (tmp_path / "ts_trace.csv").exists()
+        assert capsys.readouterr().out == (
+            "max_ln_torsion=0 fraction_with_torsion=0.0 trials=1 n=7\n"
+        )
+        header = (tmp_path / "ts.csv").read_text().splitlines()[0]
+        assert header == (
+            "n,d,seed,samples,max_ln_torsion,peak_step,vanish_step,torsion_seen"
+        )
+        trace_header = (tmp_path / "ts_trace.csv").read_text().splitlines()[0]
+        assert trace_header == "seed,step,metric,value"
 
     def test_jobs_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("HOMOFORGE_JOBS", "2")

@@ -12,15 +12,12 @@ from homoforge.complexes import (
     complex_to_json,
     complex_to_text,
     edges_colex,
-    iterated_log,
-    link_subgraph,
     min_edge_degree,
     rank_edge,
     rank_face,
     rank_triple,
     sample_binomial,
     sample_fixed_size,
-    sample_process,
     triples_colex,
     uncovered_edges,
     unrank_edge,
@@ -81,27 +78,6 @@ class TestRanking:
                 assert rank_face(unrank_face(r, k)) == r
 
 
-class TestIteratedLog:
-    def test_single_log(self):
-        assert iterated_log(math.e, 1) == pytest.approx(1.0)
-
-    def test_double_log(self):
-        assert iterated_log(math.e**math.e, 2) == pytest.approx(1.0)
-
-    def test_direct_evaluation(self):
-        assert iterated_log(1e6, 2) == pytest.approx(math.log(math.log(1e6)))
-        assert iterated_log(1e6, 2) == pytest.approx(2.6258, abs=1e-4)
-
-    def test_zero_iterations(self):
-        assert iterated_log(0.5, 0) == 0.5
-
-    def test_nonpositive_intermediate_raises(self):
-        with pytest.raises(ValueError):
-            iterated_log(1.0, 2)  # ln 1 = 0, next application undefined
-        with pytest.raises(ValueError):
-            iterated_log(-3.0, 1)
-
-
 class TestComplex:
     def test_add_face_maintains_cover_counts(self):
         rng = random.Random(5)
@@ -155,87 +131,27 @@ class TestComplex:
             Y.add_face((2, 1, 0))
 
 
-class TestLink:
-    def test_full_complex_link_is_complete_graph(self):
-        Y = Complex.full(5)
-        g = link_subgraph(Y, 0, {1, 2, 3, 4})
-        assert g.num_edges == 6
-        comps = g.connected_components()
-        assert [len(c) for c in comps] == [4]
-
-    def test_single_face_link(self):
-        Y = Complex(5, 2, [(0, 1, 2)])
-        g = link_subgraph(Y, 0, {1, 2, 3})
-        assert g.edges() == [(1, 2)]
-        assert sorted(len(c) for c in g.connected_components()) == [1, 2]
-
-    def test_apex_in_w_rejected(self):
-        Y = Complex(5)
-        with pytest.raises(ValueError):
-            link_subgraph(Y, 2, {1, 2, 3})
-
-    def test_link_against_bfs_oracle(self):
-        # independent oracle: build adjacency explicitly, BFS components
-        Y = sample_binomial(20, 0.9, seed=31)
-        v = 7
-        W = set(range(20)) - {v}
-        g = link_subgraph(Y, v, W)
-
-        adj = {w: set() for w in W}
-        count = 0
-        for x in W:
-            for y in W:
-                if x < y and Y.has_face(tuple(sorted((x, y, v)))):
-                    adj[x].add(y)
-                    adj[y].add(x)
-                    count += 1
-        assert g.num_edges == count
-        seen, comps = set(), []
-        for s in W:
-            if s in seen:
-                continue
-            comp, stack = {s}, [s]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            comps.append(comp)
-        assert sorted(map(len, g.connected_components())) == sorted(map(len, comps))
-
-    def test_edge_count_matches_face_count(self):
-        Y = sample_binomial(10, 0.5, seed=3)
-        v, W = 0, set(range(1, 8))
-        g = link_subgraph(Y, v, W)
-        expected = sum(
-            1 for f in Y.faces if v in f and set(f) - {v} <= W
-        )
-        assert g.num_edges == expected
-
-
 class TestProcess:
     def test_single_triple_stream(self):
         for seed in range(5):
-            assert list(sample_process(3, seed)) == [(0, 1, 2)]
+            assert list(ProcessStream(3, seed)) == [(0, 1, 2)]
 
     def test_permutation_property(self):
         for seed in (0, 1, 99):
-            out = list(sample_process(5, seed))
+            out = list(ProcessStream(5, seed))
             assert len(out) == 10
             assert set(out) == set(combinations(range(5), 3))
 
     def test_same_seed_same_order(self):
-        assert list(sample_process(6, 123)) == list(sample_process(6, 123))
+        assert list(ProcessStream(6, 123)) == list(ProcessStream(6, 123))
 
     def test_different_seeds_differ(self):
-        orders = {tuple(sample_process(6, s)) for s in range(8)}
+        orders = {tuple(ProcessStream(6, s)) for s in range(8)}
         assert len(orders) > 1
 
     def test_n_too_small(self):
         with pytest.raises(ValueError):
-            sample_process(2, 0)
+            ProcessStream(2, 0)
 
     def test_first_element_uniform(self):
         # Monte Carlo: each of the 10 triples should lead ~1/10 of streams

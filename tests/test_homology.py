@@ -14,7 +14,6 @@ from homoforge.homology import (
     cycle_space_dim,
     homology_Z,
     is_H1_trivial_Z,
-    prime_bound_log,
     shadow,
     shadow_size_deficit,
 )
@@ -100,43 +99,6 @@ class TestTriviality:
             Y = random_complex(7, rng.randint(0, 12), rng)
             if uncovered_edges(Y):
                 assert not is_H1_trivial_Z(Y)
-
-
-class TestPrimeBound:
-    def test_degenerate(self):
-        assert prime_bound_log(2) == 0.0
-
-    def test_direct_formula(self):
-        assert prime_bound_log(4) == pytest.approx(3 * math.log(3) / 2)
-        assert prime_bound_log(4) == pytest.approx(1.6479, abs=1e-4)
-        assert prime_bound_log(10) == pytest.approx(36 * math.log(3) / 2)
-        assert prime_bound_log(10) == pytest.approx(19.7750, abs=1e-4)
-
-    def test_n_validated(self):
-        with pytest.raises(ValueError):
-            prime_bound_log(1)
-
-    def test_torsion_primes_within_bound(self, rp2):
-        # trial-divide the torsion coefficients of small sampled complexes
-        rng = random.Random(9)
-        complexes = [rp2] + [random_complex(8, rng.randint(5, 25), rng) for _ in range(15)]
-        for Y in complexes:
-            bound = prime_bound_log(Y.n)
-            for d in homology_Z(Y).torsion:
-                for q in _prime_factors(d):
-                    assert math.log(q) <= bound + 1e-12
-
-
-def _prime_factors(d):
-    out, q = set(), 2
-    while q * q <= d:
-        while d % q == 0:
-            out.add(q)
-            d //= q
-        q += 1
-    if d > 1:
-        out.add(d)
-    return out
 
 
 class TestShadow:

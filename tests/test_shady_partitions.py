@@ -1,22 +1,16 @@
 import math
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
 from conftest import random_complex
-from homoforge.complexes import Complex, sample_binomial
+from homoforge.complexes import Complex
 from homoforge.homology import shadow
 from homoforge.shady_partitions import (
-    CascadeResult,
     PartitionLabels,
     Thresholds,
     cascade,
-    claim_three_good_edges,
-    fan_triangulation_good,
-    five_triangle_move,
-    is_complete,
-    is_elementary,
     verify_shady,
 )
 
@@ -115,25 +109,10 @@ class TestCascade:
             prev_edges, prev_vertices = c.bad_edges, c.bad_vertices
 
 
-class TestElementaryComplete:
-    def test_empty_is_elementary(self):
-        assert is_elementary(CascadeResult(frozenset(), frozenset()))
-
-    def test_disjoint_edges(self):
-        c = CascadeResult(frozenset({(1, 2), (3, 4)}), frozenset())
-        assert is_elementary(c)
-
-    def test_sharing_vertex(self):
-        c = CascadeResult(frozenset({(1, 2), (1, 3)}), frozenset())
-        assert not is_elementary(c)
-
-    def test_completeness(self):
-        assert is_complete(PartitionLabels(6))
-        assert not is_complete(PartitionLabels.from_bad_triples(6, [(0, 1, 2)]))
-
+class TestComplete:
     def test_shadow_of_full_complex_is_complete(self):
         sh = shadow(Complex.full(6), 2)
-        assert is_complete(PartitionLabels.from_shadow_complement(sh))
+        assert PartitionLabels.from_shadow_complement(sh).count_bad == 0
 
 
 class TestVerifyShady:
@@ -182,141 +161,6 @@ class TestVerifyShady:
         assert set(doc) >= {"condII", "condIII", "condI_cone", "bad_counts", "thresholds"}
         assert set(doc["bad_counts"]) == {"triples", "edges", "vertices"}
         assert doc["condII"] is True and doc["condI_cone"] is True
-
-
-class TestClaimThreeGoodEdges:
-    def test_complete_partition_no_violations(self):
-        L = PartitionLabels(7)
-        T = Thresholds.defaults(7)
-        assert claim_three_good_edges(L, cascade(L, T), T) == []
-
-    def test_all_bad_no_violations(self):
-        # with every edge bad, no triple has three good edges
-        n = 7
-        L = PartitionLabels.from_bad_triples(n, combinations(range(n), 3))
-        T = Thresholds(theta_edge=1, theta_vertex=1, max_bad_triples=10**6)
-        assert claim_three_good_edges(L, cascade(L, T), T) == []
-
-    def test_manufactured_violation_detected(self):
-        # one bad triple, everything else good: its edges are good and
-        # any apex gives a good cone
-        n = 6
-        L = PartitionLabels.from_bad_triples(n, [(0, 1, 2)])
-        T = Thresholds.defaults(n)
-        violations = claim_three_good_edges(L, cascade(L, T), T)
-        assert violations == [(0, 1, 2)]
-
-    def test_shadow_labels_smoke(self):
-        Y = sample_binomial(10, 2 * math.log(10) / 10, seed=2)
-        L = PartitionLabels.from_shadow_complement(shadow(Y, 2))
-        T = Thresholds.defaults(10)
-        # shadows satisfy cone closure, so no violation can involve a good cone
-        assert claim_three_good_edges(L, cascade(L, T), T) == []
-
-
-class TestMoves:
-    def test_fan_length_one_path(self, rp2):
-        L = PartitionLabels(rp2.n)
-        # (0,1,4) is a face (1-based 1 2 5), so the trivial fan certifies it
-        assert fan_triangulation_good(L, 4, 0, 1, [0, 1], rp2)
-        assert L.is_certified((0, 1, 4))
-
-    def test_fan_two_step(self):
-        Y = Complex(6, 2, [(0, 1, 4), (1, 2, 4)])  # link edges of 4: path 0-1-2
-        L = PartitionLabels(6)
-        assert fan_triangulation_good(L, 4, 0, 2, [0, 1, 2], Y)
-        assert L.is_certified((0, 2, 4))
-
-    def test_fan_blocked_by_bad_triangle(self):
-        Y = Complex(6, 2, [(0, 1, 4), (1, 2, 4)])
-        L = PartitionLabels.from_bad_triples(6, [(0, 1, 2)])  # the fan's base
-        assert not fan_triangulation_good(L, 4, 0, 2, [0, 1, 2], Y)
-        assert not L.is_certified((0, 2, 4))
-
-    def test_fan_path_not_in_link_raises(self):
-        Y = Complex(6, 2, [(0, 1, 4)])
-        L = PartitionLabels(6)
-        with pytest.raises(ValueError):
-            fan_triangulation_good(L, 4, 0, 2, [0, 1, 2], Y)
-
-    def test_fan_path_validation(self):
-        Y = Complex(6, 2, [(0, 1, 4)])
-        L = PartitionLabels(6)
-        with pytest.raises(ValueError):
-            fan_triangulation_good(L, 4, 0, 1, [1, 0], Y)
-        with pytest.raises(ValueError):
-            fan_triangulation_good(L, 4, 0, 1, [0, 4, 1], Y)
-
-    def test_five_triangle_all_good(self):
-        L = PartitionLabels(6)
-        assert five_triangle_move(L, 0, 1, 2, 3, 4)
-        assert L.is_certified((0, 1, 2))
-
-    def test_five_triangle_one_bad(self):
-        for bad in [(0, 1, 3), (0, 3, 4), (0, 2, 4), (1, 2, 4), (1, 3, 4)]:
-            L = PartitionLabels.from_bad_triples(6, [bad])
-            assert not five_triangle_move(L, 0, 1, 2, 3, 4)
-
-    def test_five_triangle_distinctness(self):
-        L = PartitionLabels(6)
-        with pytest.raises(ValueError):
-            five_triangle_move(L, 0, 1, 2, 3, 3)
-
-    def test_five_triangle_sound_for_shadows(self):
-        # exhaustively at n=6: whatever the move certifies on shadow-derived
-        # labels must itself be a shadow member
-        rng = random.Random(3)
-        for _ in range(4):
-            Y = random_complex(6, rng.randint(3, 14), rng)
-            sh = shadow(Y, 2)
-            L = PartitionLabels.from_shadow_complement(sh)
-            for vs in permutations(range(6), 5):
-                if five_triangle_move(L, *vs):
-                    assert sh.contains(tuple(sorted(vs[:3])))
-
-    def test_fan_sound_for_shadows(self):
-        # sampled fans on denser complexes: certified triples are members
-        rng = random.Random(5)
-        Y = sample_binomial(9, 0.8, seed=17)
-        sh = shadow(Y, 2)
-        L = PartitionLabels.from_shadow_complement(sh)
-        from homoforge.complexes import link_subgraph
-
-        checked = 0
-        for v in range(9):
-            g = link_subgraph(Y, v, set(range(9)) - {v})
-            for x in range(9):
-                for y in range(x + 1, 9):
-                    if x == v or y == v:
-                        continue
-                    path = _bfs_path(g, x, y)
-                    if path is None or len(path) < 2:
-                        continue
-                    if fan_triangulation_good(L, v, x, y, path, Y):
-                        assert sh.contains(tuple(sorted((v, x, y))))
-                        checked += 1
-        assert checked > 10
-
-
-def _bfs_path(g, x, y):
-    if x not in g.vertices or y not in g.vertices:
-        return None
-    prev = {x: None}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.adjacency[u]:
-                if w not in prev:
-                    prev[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    if y not in prev:
-        return None
-    path = [y]
-    while path[-1] != x:
-        path.append(prev[path[-1]])
-    return path[::-1]
 
 
 class TestLabelsIO:
