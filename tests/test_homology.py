@@ -101,6 +101,19 @@ class TestTriviality:
                 assert not is_H1_trivial_Z(Y)
 
 
+
+class TestPrimeBound:
+    def test_torsion_primes_within_bound(self, rp2):
+        # Hadamard: the torsion order divides a nonzero r x r minor of the
+        # boundary matrix, r <= C(n-1,2), whose columns have norm sqrt(3);
+        # so the order, and every torsion prime with it, is <= 3^(C(n-1,2)/2)
+        assert homology_Z(rp2).torsion == (2,)
+        rng = random.Random(9)
+        complexes = [rp2] + [random_complex(8, rng.randint(5, 25), rng) for _ in range(15)]
+        for Y in complexes:
+            bound = math.comb(Y.n - 1, 2) * math.log(3) / 2
+            assert sum(math.log(d) for d in homology_Z(Y).torsion) <= bound + 1e-12
+
 class TestShadow:
     def test_full_complex_shadow_is_everything(self):
         sh = shadow(Complex.full(6), 2)

@@ -1,11 +1,11 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from conftest import random_complex
-from homoforge.complexes import Complex
+from homoforge.complexes import Complex, sample_binomial
 from homoforge.homology import shadow
 from homoforge.shady_partitions import (
     PartitionLabels,
@@ -109,7 +109,12 @@ class TestCascade:
             prev_edges, prev_vertices = c.bad_edges, c.bad_vertices
 
 
-class TestComplete:
+class TestElementaryComplete:
+    def test_completeness(self):
+        # a partition is complete iff it labels no triple bad
+        assert PartitionLabels(6).count_bad == 0
+        assert PartitionLabels.from_bad_triples(6, [(0, 1, 2)]).count_bad == 1
+
     def test_shadow_of_full_complex_is_complete(self):
         sh = shadow(Complex.full(6), 2)
         assert PartitionLabels.from_shadow_complement(sh).count_bad == 0
@@ -162,6 +167,103 @@ class TestVerifyShady:
         assert set(doc["bad_counts"]) == {"triples", "edges", "vertices"}
         assert doc["condII"] is True and doc["condI_cone"] is True
 
+
+
+class TestClaimThreeGoodEdges:
+    """A bad triple with three good edges and an all-good cone breaks cone closure."""
+
+    def test_complete_partition_no_violations(self):
+        L = PartitionLabels(7)
+        T = Thresholds.defaults(7)
+        c = cascade(L, T)
+        assert c.bad_edges == frozenset() and c.bad_vertices == frozenset()
+        assert verify_shady(Complex(7), L, T).cone_closed
+
+    def test_all_bad_no_violations(self):
+        # with every triple bad, every edge and vertex is bad and no cone is good
+        n = 7
+        L = PartitionLabels.from_bad_triples(n, combinations(range(n), 3))
+        T = Thresholds(theta_edge=1, theta_vertex=1, max_bad_triples=10**6)
+        c = cascade(L, T)
+        assert c.bad_edges == frozenset(combinations(range(n), 2))
+        assert c.bad_vertices == frozenset(range(n))
+        assert verify_shady(Complex(n), L, T).cone_closed
+
+    def test_manufactured_violation_detected(self):
+        # one bad triple, everything else good: its edges are good and
+        # any apex gives a good cone
+        n = 6
+        L = PartitionLabels.from_bad_triples(n, [(0, 1, 2)])
+        T = Thresholds.defaults(n)
+        assert cascade(L, T).bad_edges == frozenset()
+        report = verify_shady(Complex(n), L, T)
+        assert not report.cone_closed and not report.passed
+
+    def test_shadow_labels_smoke(self):
+        Y = sample_binomial(10, 2 * math.log(10) / 10, seed=2)
+        L = PartitionLabels.from_shadow_complement(shadow(Y, 2))
+        T = Thresholds.defaults(10)
+        # shadows satisfy cone closure, so no bad triple has a good cone
+        report = verify_shady(Y, L, T)
+        assert report.faces_all_good and report.cone_closed
+
+
+class TestMoves:
+    """Shadows are closed under the five-triangle move and the link fan."""
+
+    def test_five_triangle_sound_for_shadows(self):
+        # exhaustively at n=6: xyz with xyv, vxw, xzw, zyw, yvw bounds a
+        # sphere, so if the five are shadow members xyz must be one too
+        rng = random.Random(3)
+        for _ in range(4):
+            Y = random_complex(6, rng.randint(3, 14), rng)
+            sh = shadow(Y, 2)
+            for x, y, z, v, w in permutations(range(6), 5):
+                around = [(x, y, v), (v, x, w), (x, z, w), (z, y, w), (y, v, w)]
+                if all(sh.contains(tuple(sorted(t))) for t in around):
+                    assert sh.contains(tuple(sorted((x, y, z))))
+
+    def test_fan_sound_for_shadows(self):
+        # a path x = x0, ..., xs = y in the link of v, with every fan
+        # triangle {y, xi, xi+1} (i <= s-2) a shadow member, closes vxy
+        Y = sample_binomial(9, 0.8, seed=17)
+        sh = shadow(Y, 2)
+        checked = 0
+        for v in range(9):
+            link = {u: set() for u in range(9) if u != v}
+            for f in Y.faces:
+                if v in f:
+                    a, b = (u for u in f if u != v)
+                    link[a].add(b)
+                    link[b].add(a)
+            for x, y in combinations(sorted(link), 2):
+                path = _bfs_path(link, x, y)
+                if path is None:
+                    continue
+                fan = zip(path[:-2], path[1:-1])
+                if all(sh.contains(tuple(sorted((y, a, b)))) for a, b in fan):
+                    assert sh.contains(tuple(sorted((v, x, y))))
+                    checked += 1
+        assert checked > 10
+
+
+def _bfs_path(adjacency, x, y):
+    prev = {x: None}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if w not in prev:
+                    prev[w] = u
+                    nxt.append(w)
+        frontier = nxt
+    if y not in prev:
+        return None
+    path = [y]
+    while path[-1] != x:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 class TestLabelsIO:
     def test_round_trip(self, tmp_path):
