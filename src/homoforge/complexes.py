@@ -111,12 +111,19 @@ def iter_set_bits(bits: int) -> Iterator[int]:
 # the complex
 
 
+# Every later step works on vectors and matrices with C(n, 2) rows, so n is
+# bounded before the first of them (the edge counters) is allocated.
+MAX_VERTICES = 2_000
+
+
 class Complex:
     """An n-vertex complex with full (dim-1)-skeleton and an explicit face set.
 
     Lower-dimensional faces are implicit: every edge (and vertex) exists.
     For dim=2 a per-edge count of incident triangles is maintained
-    incrementally, indexed by colex edge rank.
+    incrementally, indexed by colex edge rank. n may be at most
+    MAX_VERTICES = 2,000; a larger n is a ValueError raised before anything
+    is allocated.
     """
 
     __slots__ = ("n", "dim", "faces", "edge_cover_count")
@@ -124,6 +131,8 @@ class Complex:
     def __init__(self, n: int, dim: int = 2, faces: Iterable[Sequence[int]] = ()):
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
+        if n > MAX_VERTICES:
+            raise ValueError(f"need n <= {MAX_VERTICES}, got {n}")
         if dim < 1:
             raise ValueError(f"need dim >= 1, got {dim}")
         self.n = n

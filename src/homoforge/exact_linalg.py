@@ -425,11 +425,15 @@ def smith_normal_form(M: SparseIntMatrix) -> SnfResult:
     Two steps, both exact over Python integers and both unimodular, so the
     cokernel and hence the torsion are kept:
 
-    1. Sparse unit-pivot elimination. While a +-1 entry remains, take the
-       one of lowest Markowitz cost (len(col)-1)*(len(row)-1), clear its row
-       with column operations, drop its row and column and count one
-       invariant factor 1. Boundary matrices have +-1 entries, so this
-       usually eliminates all of them.
+    1. Sparse unit-pivot elimination in sweeps over the columns. A column
+       that still has a +-1 entry pivots on the one whose row has the
+       fewest columns: its row is cleared with column operations, its row
+       and column are dropped and one invariant factor 1 is counted.
+       Fill-in can create a unit in a column already passed, so sweeps
+       repeat until one takes no pivot. Every step is unimodular and the
+       invariant factors of a matrix are unique, so the pivot order changes
+       only the cost, never the factors. Boundary matrices have +-1
+       entries, so this usually eliminates all of them.
     2. A dense Smith form of the residual core (the rows and columns that
        are still nonzero), whose factors follow the counted 1s.
     """
@@ -461,49 +465,49 @@ def _eliminate_unit_pivots(
     removed from both.
     """
     taken = 0
-    while True:
-        best, best_cost = None, math.inf
-        for c, col in cols.items():
-            width = len(col) - 1
-            for r, v in col.items():
-                if v == 1 or v == -1:
-                    cost = width * (len(rows[r]) - 1)
-                    if cost < best_cost:
-                        best, best_cost = (r, c), cost
-                        if cost == 0:
-                            break
-            if best_cost == 0:
-                break
-        if best is None:
-            return taken
-        r, c = best
-        pivot_col = cols.pop(c)
-        u = pivot_col[r]
-        # column operations clear row r outside the pivot column
-        for c2 in list(rows[r]):
-            if c2 == c:
+    swept = True
+    while swept:
+        swept = False
+        for c in list(cols):
+            col = cols.get(c)
+            if col is None:
                 continue
-            col2 = cols[c2]
-            f = col2[r] * u
-            for r2, v in pivot_col.items():
-                w = col2.get(r2, 0) - f * v
-                if w:
-                    if r2 not in col2:
-                        rows[r2].add(c2)
-                    col2[r2] = w
-                elif r2 in col2:
-                    del col2[r2]
-                    rows[r2].discard(c2)
-            if not col2:
-                del cols[c2]
-        # row r is now zero outside column c, so row operations clear the
-        # rest of column c without touching any other column
-        for r2 in pivot_col:
-            cs = rows[r2]
-            cs.discard(c)
-            if not cs:
-                del rows[r2]
-        taken += 1
+            r = min(
+                (r for r, v in col.items() if v == 1 or v == -1),
+                key=lambda r: len(rows[r]),
+                default=None,
+            )
+            if r is None:
+                continue
+            pivot_col = cols.pop(c)
+            u = pivot_col[r]
+            # column operations clear row r outside the pivot column
+            for c2 in list(rows[r]):
+                if c2 == c:
+                    continue
+                col2 = cols[c2]
+                f = col2[r] * u
+                for r2, v in pivot_col.items():
+                    w = col2.get(r2, 0) - f * v
+                    if w:
+                        if r2 not in col2:
+                            rows[r2].add(c2)
+                        col2[r2] = w
+                    elif r2 in col2:
+                        del col2[r2]
+                        rows[r2].discard(c2)
+                if not col2:
+                    del cols[c2]
+            # row r is now zero outside column c, so row operations clear the
+            # rest of column c without touching any other column
+            for r2 in pivot_col:
+                cs = rows[r2]
+                cs.discard(c)
+                if not cs:
+                    del rows[r2]
+            taken += 1
+            swept = True
+    return taken
 
 
 def _snf_dense(A: list[list[int]]) -> list[int]:

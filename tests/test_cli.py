@@ -82,6 +82,12 @@ class TestHomologyCmd:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and field in err, (doc, err)
 
+    def test_vertex_count_beyond_limit_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 100_000, "dim": 2, "faces": []}))
+        assert main(["homology", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == "error: need n <= 2000, got 100000\n"
+
 
 class TestSnfCmd:
     def test_identity(self, tmp_path, capsys):

@@ -11,12 +11,19 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.domains import ZZ
 
 from conftest import rank_mod_p_oracle, rank_over_Q, random_complex
-from homoforge.complexes import Complex, edges_colex
+from homoforge.complexes import (
+    Complex,
+    ProcessStream,
+    edges_colex,
+    sample_binomial,
+    uncovered_edges,
+)
 from homoforge.exact_linalg import (
     _INITIAL_CAPACITY,
     EchelonBasis,
     MatrixFormatError,
     SparseIntMatrix,
+    _eliminate_unit_pivots,
     boundary_columns_dense,
     boundary_matrix,
     boundary_vector_dense,
@@ -57,6 +64,23 @@ def sparse_vectors(draw, nrows, p, count):
             v[r] = draw(st.integers(1, p - 1))
         vectors.append(v)
     return vectors
+
+
+@st.composite
+def unit_pivot_matrices(draw):
+    """Up to 8x8, mostly zeros, nonzero entries in {+-1, +-2, 3, 6}."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 6])
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+def h_delta_prefix(n, seed):
+    """The process prefix at h_delta: the first step covering every edge."""
+    Y = Complex(n)
+    for f in ProcessStream(n, seed):
+        Y.add_face(f)
+        if not uncovered_edges(Y):
+            return Y
 
 
 def random_sparse(rng, max_dim=8, lo=-9, hi=9):
@@ -388,6 +412,21 @@ class TestSmithNormalForm:
         got = smith_normal_form(SparseIntMatrix.from_dense(dense))
         assert got.invariant_factors == sympy_invariant_factors(dense)
 
+    @pytest.mark.parametrize("prime", [2, 3, 2**31 - 1])
+    @pytest.mark.parametrize("case", ["criterion7", "h_delta_prefix", "rp2", "torus"])
+    def test_rank_mod_p_oracle_at_campaign_sizes(self, case, prime, request):
+        # sympy is too slow here; rank over F_p counts the factors p misses
+        if case == "criterion7":
+            n = 30
+            Y = sample_binomial(n, 2 * math.log(n) / n, 7000)
+        elif case == "h_delta_prefix":
+            Y = h_delta_prefix(25, 1025)
+        else:
+            Y = request.getfixturevalue(case)
+        m = boundary_matrix(Y)
+        factors = smith_normal_form(m).invariant_factors
+        assert rank_mod_p(m, prime) == sum(1 for d in factors if d % prime)
+
     def test_huge_entries_use_exact_arithmetic(self):
         big = 10**40
         m = SparseIntMatrix.from_dense([[big, 2 * big], [3 * big, 4 * big]])
@@ -401,6 +440,30 @@ class TestSmithNormalForm:
             shuffled = [[row[j] for j in perm] for row in dense]
             res = smith_normal_form(SparseIntMatrix.from_dense(shuffled))
             assert res.invariant_factors == base
+
+
+class TestEliminateUnitPivots:
+    @settings(max_examples=300, deadline=None)
+    @given(dense=unit_pivot_matrices())
+    # the first pivot (column 1) leaves the only unit in the swept column 0
+    @example(dense=[[2, 1], [3, 1]])
+    def test_no_unit_left_and_index_consistent(self, dense):
+        cols, rows = {}, {}
+        for c in range(len(dense[0])):
+            for r, row in enumerate(dense):
+                if row[c]:
+                    cols.setdefault(c, {})[r] = row[c]
+                    rows.setdefault(r, set()).add(c)
+        taken = _eliminate_unit_pivots(cols, rows)
+        assert all(v not in (1, -1) for col in cols.values() for v in col.values())
+        assert all(cols.values())
+        indexed = {}
+        for c, col in cols.items():
+            for r in col:
+                indexed.setdefault(r, set()).add(c)
+        assert rows == indexed
+        core = [[col.get(r, 0) for col in cols.values()] for r in rows]
+        assert taken + rank_over_Q(core) == rank_over_Q(dense)
 
 
 class TestMinorGcdOracle:
