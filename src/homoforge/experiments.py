@@ -29,13 +29,9 @@ from .complexes import (
     sample_fixed_size,
     uncovered_edges,
 )
-from .exact_linalg import EchelonBasis, boundary_vector_dense, check_prime
-from .homology import (
-    HomologySummary,
-    cycle_space_dim,
-    homology_Z,
-    shadow_size_deficit,
-)
+# boundary_vector_dense is unused here; perfbench/tracing.py wraps this binding.
+from .exact_linalg import boundary_vector_dense, check_prime  # noqa: F401
+from .homology import HomologySummary, homology_Z, shadow_size_deficit
 
 
 @dataclass(frozen=True)
@@ -54,46 +50,46 @@ class ProcessTrace:
 def hitting_time_trial(n: int, seed: int) -> ProcessTrace:
     """Stream the process and locate the three hitting times exactly.
 
-    Edge coverage is counted per step; the F_2 Betti number is maintained
-    by incremental echelon insertion (one column per face), and the
-    integer decision via Smith form runs only at steps where it is zero,
-    since F_2-triviality is necessary for Z-triviality.
+    The stream counts only edge coverage up to h_delta, keeping its faces;
+    h_f2 and h_z are read from Smith forms of process prefixes. By universal
+    coefficients (H_0 is free), dim H_1(Y; F_2) is HomologySummary.betti_mod(2)
+    = betti + #{even invariant factors}. The 1-skeleton is fixed and B_1
+    only grows, so triviality over F_2 and over Z is monotone in the step,
+    and both fail before h_delta. So _first_step finds h_f2 from h_delta on
+    and h_z from h_f2 on; each probe is one homology_Z on a prefix, cached by
+    step. When H_1 is trivial at h_delta, the paper's w.h.p. case, that is
+    the only Smith form run.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     stream = ProcessStream(n, seed, dim=2)
     Y = Complex(n, dim=2)
-    basis = EchelonBasis(2, math.comb(n, 2))
-    cycle_dim = cycle_space_dim(n, 2)
+    assert Y.edge_cover_count is not None
+    faces: list[tuple[int, ...]] = []
     uncovered = math.comb(n, 2)
-    h_delta = h_f2 = h_z = None
-    torsion_at_h_delta: tuple[int, ...] = ()
-    step = 0
     for f in stream:
-        step += 1
-        assert Y.edge_cover_count is not None
         for e in face_edges(f):
-            r = rank_edge(e)
-            if Y.edge_cover_count[r] == 0:
+            if Y.edge_cover_count[rank_edge(e)] == 0:
                 uncovered -= 1
         Y.add_face(f)
-        basis.insert(boundary_vector_dense(f, n))
-        f2_betti = cycle_dim - basis.rank
-        if h_f2 is None and f2_betti == 0:
-            h_f2 = step
-        if h_delta is None and uncovered == 0:
-            h_delta = step
-            summary = homology_Z(Y)
-            torsion_at_h_delta = summary.torsion
-            if summary.trivial:
-                h_z = step
-        elif h_delta is not None and h_z is None and f2_betti == 0:
-            if homology_Z(Y).trivial:
-                h_z = step
-        if h_z is not None:
+        faces.append(f)
+        if uncovered == 0:
             break
-    if h_delta is None or h_f2 is None or h_z is None:
-        raise AssertionError("process exhausted without reaching trivial homology")
+    else:
+        raise AssertionError("process exhausted without covering every edge")
+    h_delta = len(faces)
+    summaries = {h_delta: homology_Z(Y)}
+
+    def summary_at(step: int) -> HomologySummary:
+        if step not in summaries:
+            faces.extend(stream.take(step - len(faces)))
+            summaries[step] = homology_Z(Complex(n, 2, faces[:step]))
+        return summaries[step]
+
+    h_f2 = _first_step(
+        lambda s: summary_at(s).betti_mod(2) == 0, h_delta, stream.total
+    )
+    h_z = _first_step(lambda s: summary_at(s).trivial, h_f2, stream.total)
     if not h_delta <= h_f2 <= h_z:
         raise AssertionError(
             f"hitting-time chain violated: {h_delta} <= {h_f2} <= {h_z} fails"
@@ -104,9 +100,32 @@ def hitting_time_trial(n: int, seed: int) -> ProcessTrace:
         h_delta=h_delta,
         h_f2=h_f2,
         h_z=h_z,
-        torsion_at_h_delta=torsion_at_h_delta,
+        torsion_at_h_delta=summaries[h_delta].torsion,
         equal_flag=h_z == h_delta,
     )
+
+
+def _first_step(holds: Callable[[int], bool], lo: int, last: int) -> int:
+    """First step s in [lo, last] where holds(s), for holds monotone in s.
+
+    Gallops to lo+1, lo+3, lo+7, ..., then bisects the last gap: an answer
+    lo + g costs 2*ceil(log2(g+1)) - 1 calls after the one at lo.
+    """
+    if holds(lo):
+        return lo
+    gap, hi = 1, min(lo + 1, last)
+    while not holds(hi):
+        if hi == last:
+            raise AssertionError("process exhausted without reaching trivial homology")
+        lo, gap = hi, 2 * gap
+        hi = min(lo + gap, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,13 @@ class HomologySummary:
     def trivial(self) -> bool:
         return self.betti == 0 and not self.torsion
 
+    def betti_mod(self, p: int) -> int:
+        """dim H_{d-1}(Y; F_p) for a prime p: betti + #{factors divisible by p}.
+
+        Universal coefficients, since H_{d-2} of a full skeleton is free.
+        """
+        return self.betti + sum(1 for t in self.torsion if t % p == 0)
+
     def ln_torsion_order(self) -> float:
         return sum(math.log(d) for d in self.torsion)
 

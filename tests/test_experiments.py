@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from homoforge import experiments
 from homoforge.complexes import Complex, ProcessStream, uncovered_edges
+from homoforge.exact_linalg import EchelonBasis
 from homoforge.experiments import (
     CampaignConfig,
     binomial_ci95,
@@ -37,21 +39,49 @@ class TestHittingTimeTrial:
             assert t.equal_flag == (t.h_z == t.h_delta)
 
     def test_trace_against_recomputation(self):
-        # replay the same stream and recheck every milestone independently
-        n, seed = 10, 123
-        t = hitting_time_trial(n, seed)
+        # replay the same stream and recheck every milestone independently;
+        # seed 123 is an equal trial, the others have h_z - h_delta of 2, 4,
+        # 15, 7 and 1, so these are where the gallop and bisection decided
+        n = 10
+        for seed in (123, 4, 22, 27, 28, 37):
+            t = hitting_time_trial(n, seed)
 
-        Y = prefix_complex(n, seed, t.h_delta)
-        assert not uncovered_edges(Y)
-        assert uncovered_edges(prefix_complex(n, seed, t.h_delta - 1))
+            Y = prefix_complex(n, seed, t.h_delta)
+            assert not uncovered_edges(Y)
+            assert uncovered_edges(prefix_complex(n, seed, t.h_delta - 1))
 
-        assert betti1_mod_p(prefix_complex(n, seed, t.h_f2), 2) == 0
-        assert betti1_mod_p(prefix_complex(n, seed, t.h_f2 - 1), 2) > 0
+            assert betti1_mod_p(prefix_complex(n, seed, t.h_f2), 2) == 0
+            assert betti1_mod_p(prefix_complex(n, seed, t.h_f2 - 1), 2) > 0
 
-        assert is_H1_trivial_Z(prefix_complex(n, seed, t.h_z))
-        assert not is_H1_trivial_Z(prefix_complex(n, seed, t.h_z - 1))
+            assert is_H1_trivial_Z(prefix_complex(n, seed, t.h_z))
+            assert not is_H1_trivial_Z(prefix_complex(n, seed, t.h_z - 1))
 
-        assert homology_Z(Y).torsion == t.torsion_at_h_delta
+            assert homology_Z(Y).torsion == t.torsion_at_h_delta
+
+    def test_probe_cost(self, monkeypatch):
+        # no F_2 basis is kept, and the Smith forms past h_delta are few
+        def no_insert(self, v):
+            raise AssertionError("hitting_time_trial inserted into an F_p basis")
+
+        calls = []
+
+        def counted(Y):
+            calls.append(Y.num_faces)
+            return homology_Z(Y)
+
+        monkeypatch.setattr(EchelonBasis, "insert", no_insert)
+        monkeypatch.setattr(experiments, "homology_Z", counted)
+        unequal = 0
+        for seed in range(40):
+            calls.clear()
+            t = hitting_time_trial(8, seed)
+            gap = t.h_z - t.h_delta
+            if gap == 0:
+                assert len(calls) == 1
+            else:
+                unequal += 1
+                assert len(calls) <= 2 * math.ceil(math.log2(gap + 1)) + 2
+        assert unequal >= 1
 
     def test_unequal_flag_explained(self):
         # equal_flag false must come with visible evidence at h_delta

@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rank_over_Q, random_complex
 from homoforge.complexes import Complex, sample_binomial, triples_colex, uncovered_edges
@@ -42,6 +44,22 @@ class TestBetti:
         assert betti1_mod_p(rp2, 2) == 1
         assert betti1_mod_p(rp2, 3) == 0
         assert betti1_mod_p(rp2, 5) == 0
+        # Z/2 torsion is what separates F_2 from Z
+        assert homology_Z(rp2).betti_mod(2) == 1
+        assert homology_Z(rp2).betti_mod(3) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 8),
+        num_faces=st.integers(0, 56),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_betti_mod_matches_rank_mod_p(self, n, num_faces, seed):
+        # universal coefficients against an independent F_p elimination
+        Y = random_complex(n, num_faces, random.Random(seed))
+        summary = homology_Z(Y)
+        for p in (2, 3, 5):
+            assert summary.betti_mod(p) == betti1_mod_p(Y, p)
 
 
 class TestHomologyZ:
