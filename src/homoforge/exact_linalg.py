@@ -2,8 +2,9 @@
 
 Integer matrices are kept exact throughout: Smith normal form runs on
 Python integers, first eliminating +-1 pivots sparsely and then reducing
-the small residual core densely. Rank computations over F_p use dense
-word-sized modular elimination whose products are kept below 2^63.
+the small residual core densely. Over F_p one sparse column elimination
+on the same column store gives the rank and a quotient map whose kernel
+is the column space; dense products mod p are kept below 2^63.
 """
 
 from __future__ import annotations
@@ -241,38 +242,88 @@ def check_prime(p: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# rank over F_p (batch elimination)
+# sparse elimination over F_p
+
+
+def _eliminate_mod_p(M: SparseIntMatrix | np.ndarray, p: int) -> list[tuple[int, dict]]:
+    """(pivot row, pivot column) pairs of a sparse elimination of M over F_p.
+
+    The column store is that of _eliminate_unit_pivots, with entries
+    reduced mod p. Each column in turn, if still nonzero, pivots on its
+    entry whose row has the fewest columns, and column operations clear
+    that row from every other column. A pivot column is returned as it
+    stood when it pivoted, so it has no entry in an earlier pivot row.
+    """
+    check_prime(p)
+    if isinstance(M, SparseIntMatrix):
+        entries = M.entries.items()
+    else:
+        A = np.asarray(M)
+        nz = np.nonzero(A)
+        entries = zip(zip(*(i.tolist() for i in nz)), A[nz].tolist())
+    cols: dict[int, dict[int, int]] = {}
+    rows: dict[int, set[int]] = {}
+    for (r, c), v in entries:
+        v = int(v) % p
+        if v:
+            cols.setdefault(c, {})[r] = v
+            rows.setdefault(r, set()).add(c)
+    pivots = []
+    for c in list(cols):
+        col = cols.pop(c, None)
+        if col is None:
+            continue
+        r = min(col, key=lambda r: len(rows[r]))
+        neg_inv = p - pow(col[r], -1, p)
+        for c2 in list(rows[r]):
+            if c2 == c:
+                continue
+            col2 = cols[c2]
+            f = col2[r] * neg_inv % p
+            for r2, v in col.items():
+                w = (col2.get(r2, 0) + f * v) % p
+                if w:
+                    if r2 not in col2:
+                        rows[r2].add(c2)
+                    col2[r2] = w
+                elif r2 in col2:
+                    del col2[r2]
+                    rows[r2].discard(c2)
+            if not col2:
+                del cols[c2]
+        for r2 in col:
+            rows[r2].discard(c)
+        pivots.append((r, col))
+    return pivots
 
 
 def rank_mod_p(M: SparseIntMatrix | np.ndarray, p: int) -> int:
-    """Rank of M over F_p by dense Gaussian elimination."""
-    check_prime(p)
-    if isinstance(M, SparseIntMatrix):
-        A = np.zeros((M.rows, M.cols), dtype=np.int64)
-        for (r, c), v in M.entries.items():
-            A[r, c] = v % p
-    else:
-        A = np.asarray(M, dtype=np.int64).copy()
-    A %= p
-    rows, cols = A.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        nz = np.nonzero(A[rank:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            A[[rank, piv]] = A[[piv, rank]]
-        inv = pow(int(A[rank, c]), -1, p)
-        A[rank] = A[rank] * inv % p
-        below = A[rank + 1 :, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            A[rank + 1 + hit] = (A[rank + 1 + hit] - np.outer(below[hit], A[rank])) % p
-        rank += 1
-    return rank
+    """Rank of M over F_p: the pivot count of its sparse elimination.
+
+    An ndarray is read into the same column store, by its nonzeros.
+    """
+    return len(_eliminate_mod_p(M, p))
+
+
+def quotient_map_mod_p(M: SparseIntMatrix, p: int) -> np.ndarray:
+    """Q (rows x (rows - rank), entries in [0, p)) with ker Q^T = col span of M.
+
+    Q is the identity on the free rows, those that are no pivot row. In
+    reverse pivot order, a pivot u at row r of column col sets
+    Q[r] = -u^-1 * sum col[r2] * Q[r2] over the other rows r2 of col, which
+    are free or later pivot rows, so Q^T col = 0 for every pivot column.
+    These span the column space, whose dimension rank is that of ker Q^T.
+    """
+    pivots = _eliminate_mod_p(M, p)
+    pivot_rows = {r for r, _ in pivots}
+    free = [r for r in range(M.rows) if r not in pivot_rows]
+    Q = np.zeros((M.rows, len(free)), dtype=np.int64)
+    Q[free, range(len(free))] = 1
+    for r, col in reversed(pivots):
+        neg_inv = p - pow(col.pop(r), -1, p)
+        coeff = np.array([[v * neg_inv % p for v in col.values()]], dtype=np.int64)
+        Q[r] = _matmul_mod(coeff, Q[list(col)], p)[0]
+    return Q
 
 
 # ---------------------------------------------------------------------------

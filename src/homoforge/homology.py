@@ -17,9 +17,9 @@ from .complexes import (
     unrank_triple,
 )
 from .exact_linalg import (
-    EchelonBasis,
-    boundary_columns_dense,
+    boundary_columns_dense,  # unused; perfbench's tracer wraps this binding
     boundary_matrix,
+    quotient_map_mod_p,
     rank_mod_p,
     smith_normal_form,
 )
@@ -175,26 +175,19 @@ _SHADOW_CHUNK = 4096
 def shadow(Y: Complex, p: int) -> ShadowSet:
     """The F_p-shadow of Y over all C(n,3) triples.
 
-    One echelon basis is built from the boundary columns of the faces.
-    Reduction against it is linear, so with R the residuals of the C(n,2)
-    unit edge vectors, the residual of the boundary of a < b < c is
-    R[:, bc] - R[:, ac] + R[:, ab] mod p, and the triple is a member iff
-    that sum vanishes. Rows of R that are zero add nothing to any sum and
-    are dropped; every pivot row is among them, which leaves at most
-    C(n,2) - rank rows. This reduces C(n,2) columns instead of C(n,3).
+    One sparse elimination of the boundary matrix B over F_p gives a
+    quotient map Q with ker Q^T = col span of B (see quotient_map_mod_p):
+    Q is the identity on the free rows, and each pivot row is filled in
+    reverse pivot order, which suffices because a pivot column has entries
+    only in its own row, later pivot rows and free rows. With R = Q^T, the
+    boundary of a < b < c lies in the span iff
+    R[:, bc] - R[:, ac] + R[:, ab] vanishes mod p. R has C(n,2) - rank rows,
+    and only the C(n,2) edge vectors are mapped, not the C(n,3) triples.
     """
     if Y.dim != 2:
         raise ValueError("shadow requires a 2-dimensional complex")
     n = Y.n
-    nedges = math.comb(n, 2)
-    basis = EchelonBasis(p, nedges)
-    faces = Y.faces_sorted()
-    if faces:
-        cols = boundary_columns_dense(faces, n, 2)
-        for j in range(cols.shape[1]):
-            basis.insert(cols[:, j])
-    R = basis.reduce_columns(np.eye(nedges, dtype=np.int64))
-    R = R[R.any(axis=1)]
+    R = quotient_map_mod_p(boundary_matrix(Y), p).T
     total = math.comb(n, 3)
     a, b, c = (
         np.fromiter(chain.from_iterable(triples_colex(n)), np.int64, 3 * total)

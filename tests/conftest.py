@@ -1,8 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here (Fraction-based elimination, brute-force mod-p rank,
-definitional shadow membership) deliberately avoid the library's own
-linear algebra so they can catch it lying.
+shadow membership from sympy's GF(p) null space) deliberately avoid the
+library's own linear algebra so they can catch it lying.
 """
 
 from __future__ import annotations
@@ -90,3 +90,31 @@ def random_complex(n: int, num_faces: int, rng) -> Complex:
     all_faces = list(combinations(range(n), 3))
     picked = rng.sample(all_faces, min(num_faces, len(all_faces)))
     return Complex(n, 2, picked)
+
+
+def shadow_oracle(Y: Complex, p: int) -> set[tuple[int, int, int]]:
+    """The F_p-shadow of Y from sympy's null space over GF(p).
+
+    With K a basis of the left null space of the boundary matrix, a
+    triple lies in the shadow iff K annihilates its boundary.
+    """
+    from itertools import combinations
+
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    from homoforge.exact_linalg import boundary_matrix
+
+    K = GF(p)
+    B = boundary_matrix(Y).to_dense()
+    D = DomainMatrix([[K(x) for x in row] for row in B], (len(B), Y.num_faces), K)
+    left_null = [[int(x) % p for x in row] for row in D.transpose().nullspace().to_list()]
+
+    def edge(x, y):
+        return y * (y - 1) // 2 + x
+
+    return {
+        (a, b, c)
+        for a, b, c in combinations(range(Y.n), 3)
+        if all((k[edge(b, c)] - k[edge(a, c)] + k[edge(a, b)]) % p == 0 for k in left_null)
+    }

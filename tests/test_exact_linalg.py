@@ -23,12 +23,14 @@ from homoforge.exact_linalg import (
     EchelonBasis,
     MatrixFormatError,
     SparseIntMatrix,
+    _eliminate_mod_p,
     _eliminate_unit_pivots,
     boundary_columns_dense,
     boundary_matrix,
     boundary_vector_dense,
     is_prime,
     minor_gcd_oracle,
+    quotient_map_mod_p,
     rank_mod_p,
     read_matrix_file,
     smith_normal_form,
@@ -191,6 +193,52 @@ class TestRankModP:
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError):
             rank_mod_p(SparseIntMatrix(2, 2), 6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense=sparse_dense_matrices(), p=st.sampled_from([2, 3, 2**31 - 1]))
+    def test_matches_oracle_on_sparse_matrices(self, dense, p):
+        assert rank_mod_p(SparseIntMatrix.from_dense(dense), p) == rank_mod_p_oracle(
+            dense, p
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense=sparse_dense_matrices(), p=st.sampled_from([2, 3, 2**31 - 1]))
+    def test_ndarray_input_matches_sparse(self, dense, p):
+        expected = rank_mod_p(SparseIntMatrix.from_dense(dense), p)
+        assert rank_mod_p(np.array(dense, dtype=object), p) == expected
+        # int64 cannot hold +-10^25, so only those entries are reduced first
+        small = [[x if abs(x) < 2**62 else x % p for x in row] for row in dense]
+        assert rank_mod_p(np.array(small, dtype=np.int64), p) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense=sparse_dense_matrices(), p=st.sampled_from([2, 3, 2**31 - 1]))
+    # a path's boundary: each pivot row is filled from the next pivot row
+    @example(dense=[[1, 0, 0], [-1, 1, 0], [0, -1, 1], [0, 0, -1]], p=3)
+    # unreduced sums of int64 products below p^2 would wrap here
+    @example(
+        dense=[
+            [0, 2, -6, 4, 3],
+            [2, 4, -2, BIG, -1],
+            [-6, 1, 2, 1, 0],
+            [BIG, 2, -6, BIG, 1],
+            [2, 0, 0, -BIG, -2],
+            [4, -6, 0, -2, 3],
+        ],
+        p=2**31 - 1,
+    )
+    def test_quotient_map(self, dense, p):
+        m = SparseIntMatrix.from_dense(dense)
+        rank = rank_mod_p_oracle(dense, p)
+        Q = quotient_map_mod_p(m, p)
+        assert Q.shape == (m.rows, m.rows - rank)
+        assert ((0 <= Q) & (Q < p)).all()
+        for k in range(Q.shape[1]):
+            q = [int(x) for x in Q[:, k]]
+            for j in range(m.cols):
+                assert sum(q[r] * dense[r][j] for r in range(m.rows)) % p == 0
+        pivot_rows = {r for r, _ in _eliminate_mod_p(m, p)}
+        free = [r for r in range(m.rows) if r not in pivot_rows]
+        assert Q[free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
 
     def test_is_prime(self):
         primes = {2, 3, 5, 7, 11, 13, 97, 7919}

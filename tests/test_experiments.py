@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from conftest import shadow_oracle
 from homoforge import experiments
-from homoforge.complexes import Complex, ProcessStream, uncovered_edges
+from homoforge.complexes import Complex, ProcessStream, sample_fixed_size, uncovered_edges
 from homoforge.exact_linalg import EchelonBasis
 from homoforge.experiments import (
     CampaignConfig,
@@ -114,6 +115,21 @@ class TestShadowGrowth:
     def test_n_validated(self):
         with pytest.raises(ValueError):
             shadow_growth_trial(5, 2, 0)
+
+    def test_no_dense_basis(self, monkeypatch):
+        # shadows come from one sparse elimination, not a dense F_p basis
+        def refuse(self, *args):
+            raise AssertionError("shadow_growth_trial used a dense F_p basis")
+
+        monkeypatch.setattr(EchelonBasis, "insert", refuse)
+        monkeypatch.setattr(EchelonBasis, "reduce_columns", refuse)
+        n = 12
+        M = math.ceil(math.log(n) / n * math.comb(n, 3))
+        for p in (2, 3):
+            for seed in range(10):
+                Y = sample_fixed_size(n, M, seed)
+                expected = math.comb(n, 3) - len(shadow_oracle(Y, p))
+                assert shadow_growth_trial(n, p, seed)["deficit"] == expected
 
 
 class TestUncoveredRank:

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rank_over_Q, random_complex
-from homoforge.complexes import Complex, sample_binomial, triples_colex, uncovered_edges
+from conftest import rank_over_Q, random_complex, shadow_oracle
+from homoforge.complexes import (
+    Complex,
+    sample_binomial,
+    sample_fixed_size,
+    triples_colex,
+    uncovered_edges,
+)
 from homoforge.exact_linalg import boundary_matrix
 from homoforge.homology import (
     HomologySummary,
@@ -168,6 +174,25 @@ class TestShadow:
                 sh = shadow(Y, p)
                 for t in triples_colex(n):
                     assert sh.contains(t) == definitional_member(Y, t, p), (Y, t, p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(3, 8),
+        num_faces=st.integers(0, 56),
+        seed=st.integers(0, 2**32 - 1),
+        p=st.sampled_from([2, 3, 5, 2**31 - 1]),
+    )
+    def test_matches_null_space_oracle(self, n, num_faces, seed, p):
+        Y = random_complex(n, num_faces, random.Random(seed))
+        assert set(shadow(Y, p).members()) == shadow_oracle(Y, p)
+
+    # unreduced sums of int64 products below p^2 would wrap in the quotient
+    # map at (19, 118)
+    @pytest.mark.parametrize("n, num_faces", [(14, 182), (19, 118)])
+    def test_matches_null_space_oracle_at_largest_prime(self, n, num_faces):
+        p = 2**31 - 1
+        Y = sample_fixed_size(n, num_faces, 1)
+        assert set(shadow(Y, p).members()) == shadow_oracle(Y, p)
 
     def test_cone_closure(self):
         # a triple whose three cone triangles over some apex are members
