@@ -151,8 +151,11 @@ class Complex:
             return False
         self.faces.add(t)
         if self.edge_cover_count is not None:
-            for e in face_edges(t):
-                self.edge_cover_count[rank_edge(e)] += 1
+            # the edges of (a, b, c); edge (x, y) has colex rank C(y, 2) + x
+            a, b, c = t
+            cb, cc = b * (b - 1) // 2, c * (c - 1) // 2
+            for r in (cb + a, cc + a, cc + b):
+                self.edge_cover_count[r] += 1
         return True
 
     def has_face(self, face: Sequence[int]) -> bool:

@@ -1,10 +1,11 @@
 """Exact linear algebra for boundary operators.
 
 Integer matrices are kept exact throughout: Smith normal form runs on
-Python integers, first eliminating +-1 pivots sparsely and then reducing
-the small residual core densely. Over F_p one sparse column elimination
-on the same column store gives the rank and a quotient map whose kernel
-is the column space; dense products mod p are kept below 2^63.
+Python integers in a sparse column store, first eliminating +-1 pivots
+and then the residual core by division with remainder. Over F_p one
+sparse column elimination on the same column store gives the rank and a
+quotient map whose kernel is the column space; dense products mod p are
+kept below 2^63.
 """
 
 from __future__ import annotations
@@ -242,32 +243,38 @@ def check_prime(p: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# sparse elimination over F_p
+# sparse column store and elimination over F_p
 
 
-def _eliminate_mod_p(M: SparseIntMatrix | np.ndarray, p: int) -> list[tuple[int, dict]]:
-    """(pivot row, pivot column) pairs of a sparse elimination of M over F_p.
+def _column_store(
+    M: SparseIntMatrix, p: int = 0
+) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
+    """(cols, rows) of M, its entries reduced mod p when p is given.
 
-    The column store is that of _eliminate_unit_pivots, with entries
-    reduced mod p. Each column in turn, if still nonzero, pivots on its
-    entry whose row has the fewest columns, and column operations clear
-    that row from every other column. A pivot column is returned as it
-    stood when it pivoted, so it has no entry in an earlier pivot row.
+    cols maps column -> {row: nonzero value} and rows maps row -> the set
+    of columns with a nonzero entry there; both eliminations work on them.
     """
-    check_prime(p)
-    if isinstance(M, SparseIntMatrix):
-        entries = M.entries.items()
-    else:
-        A = np.asarray(M)
-        nz = np.nonzero(A)
-        entries = zip(zip(*(i.tolist() for i in nz)), A[nz].tolist())
     cols: dict[int, dict[int, int]] = {}
     rows: dict[int, set[int]] = {}
-    for (r, c), v in entries:
-        v = int(v) % p
+    for (r, c), v in M.entries.items():
+        if p:
+            v %= p
         if v:
             cols.setdefault(c, {})[r] = v
             rows.setdefault(r, set()).add(c)
+    return cols, rows
+
+
+def _eliminate_mod_p(M: SparseIntMatrix, p: int) -> list[tuple[int, dict]]:
+    """(pivot row, pivot column) pairs of a sparse elimination of M over F_p.
+
+    Each column in turn, if still nonzero, pivots on its entry whose row
+    has the fewest columns, and column operations clear that row from
+    every other column. A pivot column is returned as it stood when it
+    pivoted, so it has no entry in an earlier pivot row.
+    """
+    check_prime(p)
+    cols, rows = _column_store(M, p)
     pivots = []
     for c in list(cols):
         col = cols.pop(c, None)
@@ -297,11 +304,8 @@ def _eliminate_mod_p(M: SparseIntMatrix | np.ndarray, p: int) -> list[tuple[int,
     return pivots
 
 
-def rank_mod_p(M: SparseIntMatrix | np.ndarray, p: int) -> int:
-    """Rank of M over F_p: the pivot count of its sparse elimination.
-
-    An ndarray is read into the same column store, by its nonzeros.
-    """
+def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
+    """Rank of M over F_p: the pivot count of its sparse elimination."""
     return len(_eliminate_mod_p(M, p))
 
 
@@ -473,37 +477,59 @@ class SnfResult:
 def smith_normal_form(M: SparseIntMatrix) -> SnfResult:
     """Invariant factors of M over the integers; the input is not mutated.
 
-    Two steps, both exact over Python integers and both unimodular, so the
-    cokernel and hence the torsion are kept:
+    Three steps on one sparse column store, exact over Python integers;
+    the eliminations are unimodular, so the cokernel and hence the
+    torsion are kept:
 
-    1. Sparse unit-pivot elimination in sweeps over the columns. A column
-       that still has a +-1 entry pivots on the one whose row has the
-       fewest columns: its row is cleared with column operations, its row
-       and column are dropped and one invariant factor 1 is counted.
-       Fill-in can create a unit in a column already passed, so sweeps
-       repeat until one takes no pivot. Every step is unimodular and the
-       invariant factors of a matrix are unique, so the pivot order changes
-       only the cost, never the factors. Boundary matrices have +-1
-       entries, so this usually eliminates all of them.
-    2. A dense Smith form of the residual core (the rows and columns that
-       are still nonzero), whose factors follow the counted 1s.
+    1. Unit-pivot elimination in sweeps over the columns. A column that
+       still has a +-1 entry pivots on the one whose row has the fewest
+       columns: its row is cleared with column operations, its row and
+       column are dropped and one invariant factor 1 is counted. Fill-in
+       can create a unit in a column already passed, so sweeps repeat
+       until one takes no pivot. The invariant factors of a matrix are
+       unique, so the pivot order changes only the cost, never the
+       factors. Boundary matrices have +-1 entries, so this usually
+       eliminates all of them.
+    2. Elimination of the residual core (the rows and columns still
+       nonzero) by division with remainder, which leaves it diagonal.
+    3. A gcd/lcm exchange puts that diagonal in divisibility order. It
+       covers the core only: the counted 1s divide every factor already,
+       and a pairwise pass over them would be quadratic in the rank,
+       which is in the hundreds for a boundary matrix.
     """
-    cols: dict[int, dict[int, int]] = {}
-    rows: dict[int, set[int]] = {}
-    for (r, c), v in M.entries.items():
-        cols.setdefault(c, {})[r] = v
-        rows.setdefault(r, set()).add(c)
-    factors = [1] * _eliminate_unit_pivots(cols, rows)
-    if cols:
-        row_index = {r: i for i, r in enumerate(rows)}
-        core = [[0] * len(cols) for _ in row_index]
-        for j, col in enumerate(cols.values()):
-            for r, v in col.items():
-                core[row_index[r]][j] = v
-        factors += _snf_dense(core)
+    cols, rows = _column_store(M)
+    ones = _eliminate_unit_pivots(cols, rows)
+    core = _eliminate_core(cols, rows)
+    for i in range(len(core)):
+        for j in range(i + 1, len(core)):
+            g = math.gcd(core[i], core[j])
+            core[i], core[j] = g, core[i] // g * core[j]
+    factors = [1] * ones + core
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0, f"invariant factor chain broken: {a} does not divide {b}"
     return SnfResult(tuple(factors))
+
+
+def _add_column(
+    cols: dict[int, dict[int, int]],
+    rows: dict[int, set[int]],
+    c2: int,
+    col: dict[int, int],
+    f: int,
+) -> None:
+    """Column c2 += f * col in place, keeping rows in step; drops c2 if it empties."""
+    col2 = cols[c2]
+    for r2, v in col.items():
+        w = col2.get(r2, 0) + f * v
+        if w:
+            if r2 not in col2:
+                rows[r2].add(c2)
+            col2[r2] = w
+        elif r2 in col2:
+            del col2[r2]
+            rows[r2].discard(c2)
+    if not col2:
+        del cols[c2]
 
 
 def _eliminate_unit_pivots(
@@ -511,9 +537,8 @@ def _eliminate_unit_pivots(
 ) -> int:
     """Eliminate +-1 pivots in place; returns how many were taken.
 
-    cols maps column -> {row: nonzero value} and rows maps row -> the set
-    of columns with a nonzero entry there. Emptied rows and columns are
-    removed from both.
+    cols and rows are a column store as _column_store builds it. Emptied
+    rows and columns are removed from both.
     """
     taken = 0
     swept = True
@@ -534,21 +559,8 @@ def _eliminate_unit_pivots(
             u = pivot_col[r]
             # column operations clear row r outside the pivot column
             for c2 in list(rows[r]):
-                if c2 == c:
-                    continue
-                col2 = cols[c2]
-                f = col2[r] * u
-                for r2, v in pivot_col.items():
-                    w = col2.get(r2, 0) - f * v
-                    if w:
-                        if r2 not in col2:
-                            rows[r2].add(c2)
-                        col2[r2] = w
-                    elif r2 in col2:
-                        del col2[r2]
-                        rows[r2].discard(c2)
-                if not col2:
-                    del cols[c2]
+                if c2 != c:
+                    _add_column(cols, rows, c2, pivot_col, -cols[c2][r] * u)
             # row r is now zero outside column c, so row operations clear the
             # rest of column c without touching any other column
             for r2 in pivot_col:
@@ -561,81 +573,53 @@ def _eliminate_unit_pivots(
     return taken
 
 
-def _snf_dense(A: list[list[int]]) -> list[int]:
-    """Positive invariant factors of a dense nonempty matrix; A is consumed.
+def _eliminate_core(
+    cols: dict[int, dict[int, int]], rows: dict[int, set[int]]
+) -> list[int]:
+    """Diagonalise what is left, emptying cols and rows; returns the |pivots|.
 
-    Pivots are chosen by minimal absolute value; rows and columns are
-    cleared by division with remainder, and a pivot failing to divide the
-    remaining entries is repaired by adding the offending row and
-    re-reducing.
+    The first remaining column pivots on its entry u of least |u|. Column
+    operations reduce u's row by the nearest quotient; a nonzero remainder
+    becomes the pivot and the step repeats. Once the row is zero elsewhere,
+    row operations reduce u's column, touching no other column; again a
+    remainder becomes the pivot. Otherwise |u| is a diagonal entry and its
+    row and column are dropped. Each remainder is at most |u| / 2, so |u|
+    strictly falls and every pivot ends.
     """
-    nrows, ncols = len(A), len(A[0])
-    factors: list[int] = []
-    for k in range(min(nrows, ncols)):
-        nonzero = [
-            (abs(A[r][c]), r, c)
-            for r in range(k, nrows)
-            for c in range(k, ncols)
-            if A[r][c]
-        ]
-        if not nonzero:
-            break
-        _, pi, pj = min(nonzero)
-        if pi != k:
-            A[k], A[pi] = A[pi], A[k]
-        if pj != k:
-            for row in A:
-                row[k], row[pj] = row[pj], row[k]
+    diagonal = []
+    while cols:
+        c, col = next(iter(cols.items()))
+        r = min(col, key=lambda r: abs(col[r]))
         while True:
-            if A[k][k] < 0:
-                A[k] = [-x for x in A[k]]
-            p = A[k][k]
-            dirty = False
-            for r in range(k + 1, nrows):
-                a = A[r][k]
-                if a:
-                    q = (a + p // 2) // p
+            col = cols[c]
+            u = col[r]
+            # (2a + u) // 2u rounds a / u to the nearest integer for either sign of u
+            for c2 in list(rows[r]):
+                if c2 != c:
+                    q = (2 * cols[c2][r] + u) // (2 * u)
                     if q:
-                        Ak, Ar = A[k], A[r]
-                        for c in range(k, ncols):
-                            Ar[c] -= q * Ak[c]
-                    if A[r][k]:
-                        dirty = True
-            if dirty:
-                best_r = min(
-                    (r for r in range(k + 1, nrows) if A[r][k]),
-                    key=lambda r: abs(A[r][k]),
-                )
-                A[k], A[best_r] = A[best_r], A[k]
+                        _add_column(cols, rows, c2, col, -q)
+            if len(rows[r]) > 1:
+                # every remainder is below |u|, so the least entry is one of them
+                c = min(rows[r], key=lambda c2: abs(cols[c2][r]))
                 continue
-            dirty = False
-            for c in range(k + 1, ncols):
-                a = A[k][c]
-                if a:
-                    q = (a + p // 2) // p
-                    if q:
-                        for row in A[k:]:
-                            row[c] -= q * row[k]
-                    if A[k][c]:
-                        dirty = True
-            if dirty:
-                best_c = min(
-                    (c for c in range(k + 1, ncols) if A[k][c]),
-                    key=lambda c: abs(A[k][c]),
-                )
-                for row in A:
-                    row[k], row[best_c] = row[best_c], row[k]
+            for r2 in list(col):
+                if r2 != r:
+                    w = col[r2] - (2 * col[r2] + u) // (2 * u) * u
+                    if w:
+                        col[r2] = w
+                    else:
+                        del col[r2]
+                        rows[r2].discard(c)
+                        if not rows[r2]:
+                            del rows[r2]
+            if len(col) > 1:
+                r = min(col, key=lambda r2: abs(col[r2]))
                 continue
-            bad = next(
-                (r for r in range(k + 1, nrows) if any(x % p for x in A[r][k + 1 :])),
-                None,
-            )
-            if bad is None:
-                break
-            # rows below k are zero left of column k + 1, so this adds only there
-            A[k] = [x + y for x, y in zip(A[k], A[bad])]
-        factors.append(A[k][k])
-    return factors
+            diagonal.append(abs(u))
+            del cols[c], rows[r]
+            break
+    return diagonal
 
 
 # ---------------------------------------------------------------------------

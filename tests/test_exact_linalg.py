@@ -57,6 +57,14 @@ def sparse_dense_matrices(draw):
 
 
 @st.composite
+def wide_unit_free_matrices(draw):
+    """1-4 rows by 8-40 columns with no +-1 entry, so all of it is core."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(8, 40))
+    entry = st.sampled_from([0, 0, 2, -2, 3, -3, 4, 6, BIG, -BIG])
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
 def sparse_vectors(draw, nrows, p, count):
     """count vectors of length nrows with one to three entries in [1, p)."""
     vectors = []
@@ -200,15 +208,6 @@ class TestRankModP:
         assert rank_mod_p(SparseIntMatrix.from_dense(dense), p) == rank_mod_p_oracle(
             dense, p
         )
-
-    @settings(max_examples=100, deadline=None)
-    @given(dense=sparse_dense_matrices(), p=st.sampled_from([2, 3, 2**31 - 1]))
-    def test_ndarray_input_matches_sparse(self, dense, p):
-        expected = rank_mod_p(SparseIntMatrix.from_dense(dense), p)
-        assert rank_mod_p(np.array(dense, dtype=object), p) == expected
-        # int64 cannot hold +-10^25, so only those entries are reduced first
-        small = [[x if abs(x) < 2**62 else x % p for x in row] for row in dense]
-        assert rank_mod_p(np.array(small, dtype=np.int64), p) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(dense=sparse_dense_matrices(), p=st.sampled_from([2, 3, 2**31 - 1]))
@@ -443,7 +442,20 @@ class TestSmithNormalForm:
     @example(dense=[[BIG, 0, 6], [2, -BIG, 0], [0, 3, 4]])
     # unit pivots first, then a core with torsion
     @example(dense=[[1, 1, 0], [1, 3, 2], [0, 2, 4]])
+    # negative non-unit pivots, where the rounding of a quotient depends on sign
+    @example(dense=[[-2, 3], [3, -2]])
+    @example(dense=[[-4, 6, -10]])
+    # the remainder -1 becomes the pivot and must clear the 2 below it
+    @example(dense=[[3], [2]])
     def test_matches_sympy_on_sparse_matrices(self, dense):
+        got = smith_normal_form(SparseIntMatrix.from_dense(dense))
+        assert got.invariant_factors == sympy_invariant_factors(dense)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense=wide_unit_free_matrices())
+    # a unimodular unit-free block beside 30 copies of one of its columns
+    @example(dense=[[2, 3] + [2] * 30, [3, 5] + [3] * 30])
+    def test_wide_cores_match_sympy(self, dense):
         got = smith_normal_form(SparseIntMatrix.from_dense(dense))
         assert got.invariant_factors == sympy_invariant_factors(dense)
 
@@ -474,6 +486,22 @@ class TestSmithNormalForm:
         m = boundary_matrix(Y)
         factors = smith_normal_form(m).invariant_factors
         assert rank_mod_p(m, prime) == sum(1 for d in factors if d % prime)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("case", ["criterion7", "h_delta_prefix"])
+    def test_scaled_boundary_factors(self, case, k):
+        # k * B has no +-1 entry, so all of it is the residual core
+        if case == "criterion7":
+            n = 30
+            Y = sample_binomial(n, 2 * math.log(n) / n, 7000)
+        else:
+            Y = h_delta_prefix(25, 1025)
+        m = boundary_matrix(Y)
+        scaled = SparseIntMatrix(
+            m.rows, m.cols, {e: k * v for e, v in m.entries.items()}
+        )
+        expected = tuple(k * d for d in smith_normal_form(m).invariant_factors)
+        assert smith_normal_form(scaled).invariant_factors == expected
 
     def test_huge_entries_use_exact_arithmetic(self):
         big = 10**40
