@@ -7,9 +7,11 @@ ids, indexed by their colexicographic rank.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
+from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence
 
 
@@ -26,20 +28,43 @@ def rank_face(face: Sequence[int]) -> int:
     return sum(math.comb(v, i + 1) for i, v in enumerate(face))
 
 
+@functools.lru_cache(maxsize=32)
+def colex_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Binomial table with table[i][v] = C(v, i) for 0 <= i <= k, 0 <= v <= n.
+
+    Row i is nondecreasing in v, so the largest v with C(v, i) <= r is found
+    by bisection. Built on first use for each (n, k) and cached; tuples,
+    because every caller shares the cached table.
+    """
+    return tuple(tuple(math.comb(v, i) for v in range(n + 1)) for i in range(k + 1))
+
+
+def _unrank(r: int, table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The k-face of colex rank r, for table = colex_table(n, k) and r < C(n, k).
+
+    Greedy from the top: vertex i-1 is the largest v with C(v, i) <= r, and
+    the remainder r - C(v, i) < C(v, i-1) puts the next vertex below v.
+    """
+    k = len(table) - 1
+    face = [0] * k
+    hi = len(table[0])
+    for i in range(k, 0, -1):
+        hi = bisect_right(table[i], r, i - 1, hi) - 1
+        face[i - 1] = hi
+        r -= table[i][hi]
+    return tuple(face)
+
+
 def unrank_face(r: int, k: int) -> tuple[int, ...]:
-    """Inverse of rank_face for k-element faces."""
+    """Inverse of rank_face for k-element faces on at most MAX_VERTICES vertices."""
     if r < 0:
         raise ValueError(f"rank must be nonnegative, got {r}")
-    face = [0] * k
-    for i in range(k - 1, -1, -1):
-        v = i  # smallest admissible id at position i
-        while math.comb(v + 1, i + 1) <= r:
-            v += 1
-        face[i] = v
-        r -= math.comb(v, i + 1)
-    if r != 0:
-        raise ValueError("rank does not correspond to a valid face")
-    return tuple(face)
+    table = colex_table(MAX_VERTICES, k)
+    if r >= table[k][MAX_VERTICES]:
+        raise ValueError(
+            f"rank {r} is past the last {k}-face on {MAX_VERTICES} vertices"
+        )
+    return _unrank(r, table)
 
 
 def _validate_face(face: Sequence[int], n: int, d: int) -> tuple[int, ...]:
@@ -64,7 +89,7 @@ def rank_triple(t: Sequence[int], n: int) -> int:
 def unrank_triple(r: int, n: int) -> tuple[int, int, int]:
     if not 0 <= r < math.comb(n, 3):
         raise ValueError(f"rank {r} out of range [0, C({n},3))")
-    return unrank_face(r, 3)  # type: ignore[return-value]
+    return _unrank(r, colex_table(n, 3))  # type: ignore[return-value]
 
 
 def triples_colex(n: int) -> Iterator[tuple[int, int, int]]:
@@ -81,16 +106,26 @@ def rank_edge(e: Sequence[int]) -> int:
 
 
 def unrank_edge(r: int) -> tuple[int, int]:
-    b = 1
-    while math.comb(b + 1, 2) <= r:
-        b += 1
-    return (r - math.comb(b, 2), b)
+    # the largest b with C(b, 2) = b(b-1)/2 <= r
+    b = (1 + math.isqrt(1 + 8 * r)) // 2
+    return (r - b * (b - 1) // 2, b)
 
 
 def edges_colex(n: int) -> Iterator[tuple[int, int]]:
     for b in range(1, n):
         for a in range(b):
             yield (a, b)
+
+
+def triangle_edge_ranks(face: Sequence[int]) -> tuple[int, int, int]:
+    """Colex ranks of the edges bc, ac, ab of a triangle (a, b, c).
+
+    The boundary of (a, b, c) is bc - ac + ab, so the ranks come in the order
+    of the signs +, -, +. Works elementwise on numpy arrays a, b, c too.
+    """
+    a, b, c = face
+    cc = c * (c - 1) // 2
+    return cc + b, cc + a, b * (b - 1) // 2 + a
 
 
 def face_edges(face: Sequence[int]) -> list[tuple[int, int]]:
@@ -151,10 +186,7 @@ class Complex:
             return False
         self.faces.add(t)
         if self.edge_cover_count is not None:
-            # the edges of (a, b, c); edge (x, y) has colex rank C(y, 2) + x
-            a, b, c = t
-            cb, cc = b * (b - 1) // 2, c * (c - 1) // 2
-            for r in (cb + a, cc + a, cc + b):
+            for r in triangle_edge_ranks(t):
                 self.edge_cover_count[r] += 1
         return True
 
@@ -170,8 +202,12 @@ class Complex:
         return math.comb(self.n, self.dim + 1)
 
     def faces_sorted(self) -> list[tuple[int, ...]]:
-        """Faces in colex order (deterministic column order for boundary maps)."""
-        return sorted(self.faces, key=rank_face)
+        """Faces in colex order (deterministic column order for boundary maps).
+
+        For faces of one size, colex order is the lexicographic order of the
+        reversed tuples.
+        """
+        return sorted(self.faces, key=lambda f: f[::-1])
 
     def copy(self) -> "Complex":
         other = Complex.__new__(Complex)
@@ -229,7 +265,7 @@ class ProcessStream:
     Identical seed gives an identical order.
     """
 
-    __slots__ = ("n", "dim", "seed", "total", "_rng", "_swap", "_pos")
+    __slots__ = ("n", "dim", "seed", "total", "_rng", "_swap", "_pos", "_table")
 
     def __init__(self, n: int, seed: int, dim: int = 2):
         if n < dim + 1:
@@ -241,6 +277,7 @@ class ProcessStream:
         self._rng = random.Random(seed)
         self._swap: dict[int, int] = {}
         self._pos = 0
+        self._table = colex_table(n, dim + 1)
 
     @property
     def position(self) -> int:
@@ -259,7 +296,7 @@ class ProcessStream:
         if j != i:
             self._swap[j] = self._swap.pop(i, i)
         self._pos = i + 1
-        return unrank_face(emitted, self.dim + 1)
+        return _unrank(emitted, self._table)
 
     def take(self, m: int) -> list[tuple[int, ...]]:
         return [next(self) for _ in range(min(m, self.total - self._pos))]

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .complexes import Complex, rank_face
+from .complexes import Complex, colex_table, triangle_edge_ranks
 
 
 class MatrixFormatError(ValueError):
@@ -155,33 +155,46 @@ def write_matrix_file(m: SparseIntMatrix, path: str) -> None:
 # boundary operators
 
 
-def boundary_entries(face: Sequence[int]) -> list[tuple[int, int]]:
-    """(row_rank, sign) pairs of the boundary of one face.
+def boundary_entries(face: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """(row_rank, sign) pairs of the boundary of one face on n vertices.
 
     Dropping vertex i of [v0 < ... < vd] contributes sign (-1)^i at the
-    colex rank of the remaining face.
+    colex rank of the remaining face: the vertices before v_i keep their
+    places (C(v_j, j+1), read from colex_table) and those after it move
+    down one (C(v_j, j)).
     """
-    out = []
-    for i in range(len(face)):
-        sub = face[:i] + face[i + 1 :]
-        out.append((rank_face(sub), -1 if i % 2 else 1))
-    return out
+    table = colex_table(n, len(face))
+    kept = [table[j + 1][v] for j, v in enumerate(face)]
+    moved = [table[j][v] for j, v in enumerate(face)]
+    return [
+        (sum(kept[:i]) + sum(moved[i + 1 :]), -1 if i % 2 else 1)
+        for i in range(len(face))
+    ]
 
 
 def boundary_matrix(Y: Complex) -> SparseIntMatrix:
     """Boundary operator from d-faces of Y to the full set of (d-1)-faces.
 
     Rows: all C(n, d) faces of dimension d-1 in colex order. Columns: the
-    faces of Y in colex order. Entries are +-1.
+    faces of Y in colex order. Entries are +-1; a triangle's three come in
+    closed form from triangle_edge_ranks.
     """
     if Y.dim < 1:
         raise ValueError("boundary requires dim >= 1")
     nrows = math.comb(Y.n, Y.dim)
     faces = Y.faces_sorted()
     m = SparseIntMatrix(nrows, len(faces))
-    for col, f in enumerate(faces):
-        for row, sign in boundary_entries(f):
-            m.entries[(row, col)] = sign
+    entries = m.entries
+    if Y.dim == 2:
+        for col, f in enumerate(faces):
+            bc, ac, ab = triangle_edge_ranks(f)
+            entries[(bc, col)] = 1
+            entries[(ac, col)] = -1
+            entries[(ab, col)] = 1
+    else:
+        for col, f in enumerate(faces):
+            for row, sign in boundary_entries(f, Y.n):
+                entries[(row, col)] = sign
     return m
 
 
@@ -192,7 +205,7 @@ def boundary_columns_dense(
     face_list = list(faces)
     out = np.zeros((math.comb(n, d), len(face_list)), dtype=np.int64)
     for col, f in enumerate(face_list):
-        for row, sign in boundary_entries(f):
+        for row, sign in boundary_entries(f, n):
             out[row, col] = sign
     return out
 
@@ -200,7 +213,7 @@ def boundary_columns_dense(
 def boundary_vector_dense(face: Sequence[int], n: int) -> np.ndarray:
     """Boundary of a single face as a dense int64 column."""
     v = np.zeros(math.comb(n, len(face) - 1), dtype=np.int64)
-    for row, sign in boundary_entries(tuple(face)):
+    for row, sign in boundary_entries(face, n):
         v[row] = sign
     return v
 

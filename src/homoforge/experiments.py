@@ -23,10 +23,9 @@ from typing import Callable
 from .complexes import (
     Complex,
     ProcessStream,
-    face_edges,
-    rank_edge,
     sample_binomial,
     sample_fixed_size,
+    triangle_edge_ranks,
     uncovered_edges,
 )
 # boundary_vector_dense is unused here; perfbench/tracing.py wraps this binding.
@@ -64,12 +63,13 @@ def hitting_time_trial(n: int, seed: int) -> ProcessTrace:
         raise ValueError(f"need n >= 4, got {n}")
     stream = ProcessStream(n, seed, dim=2)
     Y = Complex(n, dim=2)
-    assert Y.edge_cover_count is not None
+    cover_count = Y.edge_cover_count
+    assert cover_count is not None
     faces: list[tuple[int, ...]] = []
     uncovered = math.comb(n, 2)
     for f in stream:
-        for e in face_edges(f):
-            if Y.edge_cover_count[rank_edge(e)] == 0:
+        for r in triangle_edge_ranks(f):
+            if cover_count[r] == 0:
                 uncovered -= 1
         Y.add_face(f)
         faces.append(f)

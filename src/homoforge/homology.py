@@ -5,14 +5,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .complexes import (
     Complex,
     iter_set_bits,
-    triples_colex,
+    triangle_edge_ranks,
     uncovered_edges,
     unrank_triple,
 )
@@ -189,14 +188,13 @@ def shadow(Y: Complex, p: int) -> ShadowSet:
     n = Y.n
     R = quotient_map_mod_p(boundary_matrix(Y), p).T
     total = math.comb(n, 3)
-    a, b, c = (
-        np.fromiter(chain.from_iterable(triples_colex(n)), np.int64, 3 * total)
-        .reshape(total, 3)
-        .T
-    )
-    ab = b * (b - 1) // 2 + a
-    ac = c * (c - 1) // 2 + a
-    bc = c * (c - 1) // 2 + b
+    # colex order lists, for each c, the C(c, 2) edges ab below c in colex order
+    v = np.arange(n, dtype=np.int64)
+    c = np.repeat(v, v * (v - 1) // 2)
+    ab = np.arange(total, dtype=np.int64) - c * (c - 1) * (c - 2) // 6
+    edge_b = np.repeat(v, v)
+    edge_a = np.arange(edge_b.size, dtype=np.int64) - edge_b * (edge_b - 1) // 2
+    bc, ac, ab = triangle_edge_ranks((edge_a[ab], edge_b[ab], c))
     bits = 0
     for start in range(0, total, _SHADOW_CHUNK):
         chunk = slice(start, start + _SHADOW_CHUNK)

@@ -3,8 +3,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homoforge.complexes import (
+    MAX_VERTICES,
     Complex,
     ProcessStream,
     complex_from_json,
@@ -23,6 +26,11 @@ from homoforge.complexes import (
     unrank_edge,
     unrank_face,
     unrank_triple,
+)
+
+# (k, r): a face size and a colex rank of a k-face on MAX_VERTICES vertices
+RANKED_FACES = st.sampled_from([1, 2, 3, 4]).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(0, math.comb(MAX_VERTICES, k) - 1))
 )
 
 
@@ -71,11 +79,42 @@ class TestRanking:
             for r, e in enumerate(edges_colex(n)):
                 assert rank_edge(e) == r
                 assert unrank_edge(r) == e
+        last = math.comb(2000, 2) - 1
+        for r, e in [(0, (0, 1)), (1, (0, 2)), (last - 1, (1997, 1999)),
+                     (last, (1998, 1999))]:
+            assert unrank_edge(r) == e
+            assert rank_edge(e) == r
 
     def test_general_face_round_trip(self):
         for k in (2, 3, 4):
             for r in range(math.comb(8, k)):
                 assert rank_face(unrank_face(r, k)) == r
+
+    @settings(max_examples=300, deadline=None)
+    @given(kr=RANKED_FACES)
+    @example(kr=(1, 0))
+    @example(kr=(4, 0))
+    @example(kr=(1, math.comb(MAX_VERTICES, 1) - 1))
+    @example(kr=(2, math.comb(MAX_VERTICES, 2) - 1))
+    @example(kr=(3, math.comb(MAX_VERTICES, 3) - 1))
+    @example(kr=(4, math.comb(MAX_VERTICES, 4) - 1))
+    def test_unrank_round_trip_up_to_max_vertices(self, kr):
+        k, r = kr
+        face = unrank_face(r, k)
+        assert len(face) == k
+        assert all(u < v for u, v in zip(face, face[1:]))
+        assert rank_face(face) == r
+        if r == 0:
+            assert face == tuple(range(k))
+        if r == math.comb(MAX_VERTICES, k) - 1:
+            assert face == tuple(range(MAX_VERTICES - k, MAX_VERTICES))
+
+    def test_unrank_face_rejects_out_of_range(self):
+        for k in (1, 2, 3, 4):
+            with pytest.raises(ValueError):
+                unrank_face(-1, k)
+            with pytest.raises(ValueError):
+                unrank_face(math.comb(MAX_VERTICES, k), k)
 
 
 class TestComplex:
@@ -132,6 +171,18 @@ class TestComplex:
 
 
 class TestProcess:
+    def test_pinned_stream_prefixes(self):
+        # the process order itself: no change to the shuffle or the unranker may move it
+        assert ProcessStream(25, 1025).take(10) == [
+            (7, 9, 18), (0, 6, 12), (3, 6, 11), (6, 7, 18), (7, 13, 21),
+            (7, 16, 18), (4, 11, 19), (4, 9, 22), (9, 18, 20), (10, 20, 23),
+        ]
+        assert ProcessStream(12, 4000, dim=3).take(10) == [
+            (6, 7, 8, 9), (0, 1, 4, 10), (1, 5, 10, 11), (0, 5, 6, 10),
+            (1, 2, 7, 11), (3, 9, 10, 11), (1, 2, 4, 9), (0, 1, 8, 10),
+            (1, 5, 7, 11), (2, 3, 5, 11),
+        ]
+
     def test_single_triple_stream(self):
         for seed in range(5):
             assert list(ProcessStream(3, seed)) == [(0, 1, 2)]

@@ -170,6 +170,26 @@ class TestBoundaryMatrix:
             d1 = np.array(boundary_matrix(edges).to_dense(), dtype=np.int64)
             assert not (d1 @ d2).any()
 
+    def test_matches_combinations_oracle(self):
+        # rows indexed by a dict over all (d-1)-faces sorted colex (by the
+        # reversed tuple), columns the faces in the same order, signs (-1)^i
+        rng = random.Random(11)
+        for d in (1, 2, 3):
+            for n in (d + 1, 6, 9):
+                all_faces = list(combinations(range(n), d + 1))
+                faces = rng.sample(all_faces, rng.randint(0, len(all_faces)))
+                row_of = {
+                    t: i for i, t in enumerate(
+                        sorted(combinations(range(n), d), key=lambda t: t[::-1]))
+                }
+                expected = {}
+                for col, f in enumerate(sorted(faces, key=lambda t: t[::-1])):
+                    for i in range(d + 1):
+                        expected[(row_of[f[:i] + f[i + 1 :]], col)] = (-1) ** i
+                m = boundary_matrix(Complex(n, d, faces))
+                assert (m.rows, m.cols) == (len(row_of), len(faces))
+                assert m.entries == expected
+
     def test_dense_builders_agree(self):
         Y = random_complex(7, 10, random.Random(1))
         sparse = boundary_matrix(Y)
