@@ -142,6 +142,23 @@ def iter_set_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def triple_bits_from_bytes(payload: bytes, n: int) -> int:
+    """The bitset over the C(n,3) triple ranks that payload stores little-endian.
+
+    Raises ValueError unless payload has (C(n,3) + 7) // 8 bytes and no bit
+    set at or past C(n,3), the rank count.
+    """
+    total = math.comb(n, 3)
+    if len(payload) != (total + 7) // 8:
+        raise ValueError(
+            f"bitset payload has {len(payload)} bytes, expected {(total + 7) // 8}"
+        )
+    bits = int.from_bytes(payload, "little")
+    if bits >> total:
+        raise ValueError(f"bitset sets rank {bits.bit_length() - 1} >= C({n},3)")
+    return bits
+
+
 # ---------------------------------------------------------------------------
 # the complex
 
@@ -190,16 +207,9 @@ class Complex:
                 self.edge_cover_count[r] += 1
         return True
 
-    def has_face(self, face: Sequence[int]) -> bool:
-        return tuple(face) in self.faces
-
     @property
     def num_faces(self) -> int:
         return len(self.faces)
-
-    @property
-    def total_possible_faces(self) -> int:
-        return math.comb(self.n, self.dim + 1)
 
     def faces_sorted(self) -> list[tuple[int, ...]]:
         """Faces in colex order (deterministic column order for boundary maps).
@@ -278,11 +288,6 @@ class ProcessStream:
         self._swap: dict[int, int] = {}
         self._pos = 0
         self._table = colex_table(n, dim + 1)
-
-    @property
-    def position(self) -> int:
-        """Number of faces emitted so far."""
-        return self._pos
 
     def __iter__(self) -> "ProcessStream":
         return self

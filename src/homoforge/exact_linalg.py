@@ -1,18 +1,20 @@
 """Exact linear algebra for boundary operators.
 
-Integer matrices are kept exact throughout: Smith normal form runs on
-Python integers in a sparse column store, first eliminating +-1 pivots
-and then the residual core by division with remainder. Over F_p one
-sparse column elimination on the same column store gives the rank and a
-quotient map whose kernel is the column space; dense products mod p are
-kept below 2^63.
+A sparse matrix is stored by columns, each a {row: nonzero value} dict,
+and boundary_column gives the one column of a face. Both eliminations
+copy those columns into a column store with a row index and run one
+sparse unit-pivot loop: over Z a unit is +-1, over F_p any nonzero
+entry. Over Z the Smith normal form then diagonalises the residual core
+by division with remainder on Python integers; over F_p the pivots give
+the rank and a quotient map whose kernel is the column space. Dense
+products mod p are kept below 2^63.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,45 +36,42 @@ class MatrixFormatError(ValueError):
 class SparseIntMatrix:
     """Sparse integer matrix with arbitrary-precision entries.
 
-    Only nonzero entries are stored, keyed by (row, col).
+    columns maps a column to {row: value} of its nonzero entries; a
+    column without any has no key.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, entries: dict | None = None):
+    def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], int] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                self.set(r, c, v)
+        self.columns: dict[int, dict[int, int]] = {}
 
     def set(self, r: int, c: int, v: int) -> None:
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise ValueError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
-        if v == 0:
-            self.entries.pop((r, c), None)
-        else:
-            self.entries[(r, c)] = int(v)
+        if v:
+            self.columns.setdefault(c, {})[r] = int(v)
+        elif c in self.columns:
+            col = self.columns[c]
+            col.pop(r, None)
+            if not col:
+                del self.columns[c]
 
     def get(self, r: int, c: int) -> int:
-        return self.entries.get((r, c), 0)
+        return self.columns.get(c, {}).get(r, 0)
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
-
-    def copy(self) -> "SparseIntMatrix":
-        m = SparseIntMatrix(self.rows, self.cols)
-        m.entries = dict(self.entries)
-        return m
+        return sum(map(len, self.columns.values()))
 
     def to_dense(self) -> list[list[int]]:
         dense = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
+        for c, col in self.columns.items():
+            for r, v in col.items():
+                dense[r][c] = v
         return dense
 
     @classmethod
@@ -84,17 +83,16 @@ class SparseIntMatrix:
             if len(row) != ncols:
                 raise ValueError("ragged rows in dense input")
             for c, v in enumerate(row):
-                if v:
-                    m.entries[(r, c)] = int(v)
+                m.set(r, c, v)
         return m
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseIntMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (
+        return (self.rows, self.cols, self.columns) == (
             other.rows,
             other.cols,
-            other.entries,
+            other.columns,
         )
 
     def __repr__(self) -> str:
@@ -137,8 +135,7 @@ def read_matrix_file(path: str) -> SparseIntMatrix:
         if (r, c) in seen:
             raise MatrixFormatError(lineno, f"duplicate entry ({r},{c})")
         seen.add((r, c))
-        if v:
-            m.entries[(r, c)] = v
+        m.set(r, c, v)
     if m is None:
         raise MatrixFormatError(1, "missing header 'rows cols'")
     return m
@@ -147,54 +144,49 @@ def read_matrix_file(path: str) -> SparseIntMatrix:
 def write_matrix_file(m: SparseIntMatrix, path: str) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{m.rows} {m.cols}\n")
-        for (r, c) in sorted(m.entries):
-            fh.write(f"{r} {c} {m.entries[(r, c)]}\n")
+        entries = sorted(
+            (r, c, v) for c, col in m.columns.items() for r, v in col.items()
+        )
+        for r, c, v in entries:
+            fh.write(f"{r} {c} {v}\n")
 
 
 # ---------------------------------------------------------------------------
 # boundary operators
 
 
-def boundary_entries(face: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """(row_rank, sign) pairs of the boundary of one face on n vertices.
+def boundary_column(face: Sequence[int], n: int) -> dict[int, int]:
+    """{row rank: sign} of the boundary of one face on n vertices.
 
     Dropping vertex i of [v0 < ... < vd] contributes sign (-1)^i at the
-    colex rank of the remaining face: the vertices before v_i keep their
-    places (C(v_j, j+1), read from colex_table) and those after it move
-    down one (C(v_j, j)).
+    colex rank of the remaining face. A triangle's three ranks come in
+    closed form from triangle_edge_ranks. Otherwise the vertices before v_i
+    keep their places (C(v_j, j+1), read from colex_table) and those after
+    it move down one (C(v_j, j)).
     """
+    if len(face) == 3:
+        bc, ac, ab = triangle_edge_ranks(face)
+        return {bc: 1, ac: -1, ab: 1}
     table = colex_table(n, len(face))
     kept = [table[j + 1][v] for j, v in enumerate(face)]
     moved = [table[j][v] for j, v in enumerate(face)]
-    return [
-        (sum(kept[:i]) + sum(moved[i + 1 :]), -1 if i % 2 else 1)
+    return {
+        sum(kept[:i]) + sum(moved[i + 1 :]): -1 if i % 2 else 1
         for i in range(len(face))
-    ]
+    }
 
 
 def boundary_matrix(Y: Complex) -> SparseIntMatrix:
     """Boundary operator from d-faces of Y to the full set of (d-1)-faces.
 
     Rows: all C(n, d) faces of dimension d-1 in colex order. Columns: the
-    faces of Y in colex order. Entries are +-1; a triangle's three come in
-    closed form from triangle_edge_ranks.
+    faces of Y in colex order, each its boundary_column.
     """
     if Y.dim < 1:
         raise ValueError("boundary requires dim >= 1")
-    nrows = math.comb(Y.n, Y.dim)
     faces = Y.faces_sorted()
-    m = SparseIntMatrix(nrows, len(faces))
-    entries = m.entries
-    if Y.dim == 2:
-        for col, f in enumerate(faces):
-            bc, ac, ab = triangle_edge_ranks(f)
-            entries[(bc, col)] = 1
-            entries[(ac, col)] = -1
-            entries[(ab, col)] = 1
-    else:
-        for col, f in enumerate(faces):
-            for row, sign in boundary_entries(f, Y.n):
-                entries[(row, col)] = sign
+    m = SparseIntMatrix(math.comb(Y.n, Y.dim), len(faces))
+    m.columns = {col: boundary_column(f, Y.n) for col, f in enumerate(faces)}
     return m
 
 
@@ -205,7 +197,7 @@ def boundary_columns_dense(
     face_list = list(faces)
     out = np.zeros((math.comb(n, d), len(face_list)), dtype=np.int64)
     for col, f in enumerate(face_list):
-        for row, sign in boundary_entries(f, n):
+        for row, sign in boundary_column(f, n).items():
             out[row, col] = sign
     return out
 
@@ -213,7 +205,7 @@ def boundary_columns_dense(
 def boundary_vector_dense(face: Sequence[int], n: int) -> np.ndarray:
     """Boundary of a single face as a dense int64 column."""
     v = np.zeros(math.comb(n, len(face) - 1), dtype=np.int64)
-    for row, sign in boundary_entries(face, n):
+    for row, sign in boundary_column(face, n).items():
         v[row] = sign
     return v
 
@@ -228,7 +220,7 @@ def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond word size."""
     if p < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if p % q == 0:
             return p == q
     d, s = p - 1, 0
@@ -256,70 +248,107 @@ def check_prime(p: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# sparse column store and elimination over F_p
+# sparse column store and unit-pivot elimination over Z and F_p
 
 
 def _column_store(
     M: SparseIntMatrix, p: int = 0
 ) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
-    """(cols, rows) of M, its entries reduced mod p when p is given.
+    """(cols, rows): copies of M's columns, reduced mod p when p is given.
 
     cols maps column -> {row: nonzero value} and rows maps row -> the set
     of columns with a nonzero entry there; both eliminations work on them.
     """
-    cols: dict[int, dict[int, int]] = {}
+    cols = {}
+    for c, col in M.columns.items():
+        col = {r: v % p for r, v in col.items() if v % p} if p else dict(col)
+        if col:
+            cols[c] = col
     rows: dict[int, set[int]] = {}
-    for (r, c), v in M.entries.items():
-        if p:
-            v %= p
-        if v:
-            cols.setdefault(c, {})[r] = v
+    for c, col in cols.items():
+        for r in col:
             rows.setdefault(r, set()).add(c)
     return cols, rows
 
 
-def _eliminate_mod_p(M: SparseIntMatrix, p: int) -> list[tuple[int, dict]]:
-    """(pivot row, pivot column) pairs of a sparse elimination of M over F_p.
+def _add_column(
+    cols: dict[int, dict[int, int]],
+    rows: dict[int, set[int]],
+    c2: int,
+    col: dict[int, int],
+    f: int,
+    p: int = 0,
+) -> None:
+    """Column c2 += f * col in place, mod p when p is given; keeps rows in step.
 
-    Each column in turn, if still nonzero, pivots on its entry whose row
-    has the fewest columns, and column operations clear that row from
-    every other column. A pivot column is returned as it stood when it
-    pivoted, so it has no entry in an earlier pivot row.
+    Column c2 is dropped if it empties.
     """
-    check_prime(p)
-    cols, rows = _column_store(M, p)
-    pivots = []
-    for c in list(cols):
-        col = cols.pop(c, None)
-        if col is None:
-            continue
-        r = min(col, key=lambda r: len(rows[r]))
-        neg_inv = p - pow(col[r], -1, p)
-        for c2 in list(rows[r]):
-            if c2 == c:
+    col2 = cols[c2]
+    for r2, v in col.items():
+        w = col2.get(r2, 0) + f * v
+        if p:
+            w %= p
+        if w:
+            if r2 not in col2:
+                rows[r2].add(c2)
+            col2[r2] = w
+        elif r2 in col2:
+            del col2[r2]
+            rows[r2].discard(c2)
+    if not col2:
+        del cols[c2]
+
+
+def _eliminate_unit_pivots(
+    cols: dict[int, dict[int, int]], rows: dict[int, set[int]], p: int = 0
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """Eliminate unit pivots in place over Z/p (Z for p = 0), in column sweeps.
+
+    A unit is +-1 over Z and any nonzero entry over F_p. A column that
+    still has a unit pivots on the one whose row has the fewest columns:
+    column operations clear its row from every other column, and its row
+    and column are dropped. Fill-in can create a unit over Z in a column
+    already passed, so sweeps repeat until one takes no pivot; over F_p
+    the first sweep leaves no column. Yields each (pivot row, pivot column)
+    as taken; the pivot column is as it stood then, so it has no entry in
+    an earlier pivot row. cols and rows are a column store as
+    _column_store builds it; emptied rows and columns are removed.
+    """
+    swept = True
+    while swept:
+        swept = False
+        for c in list(cols):
+            col = cols.get(c)
+            if col is None:
                 continue
-            col2 = cols[c2]
-            f = col2[r] * neg_inv % p
-            for r2, v in col.items():
-                w = (col2.get(r2, 0) + f * v) % p
-                if w:
-                    if r2 not in col2:
-                        rows[r2].add(c2)
-                    col2[r2] = w
-                elif r2 in col2:
-                    del col2[r2]
-                    rows[r2].discard(c2)
-            if not col2:
-                del cols[c2]
-        for r2 in col:
-            rows[r2].discard(c)
-        pivots.append((r, col))
-    return pivots
+            r = min(
+                (r for r, v in col.items() if p or v == 1 or v == -1),
+                key=lambda r: len(rows[r]),
+                default=None,
+            )
+            if r is None:
+                continue
+            del cols[c]
+            # a unit u = +-1 over Z is its own inverse
+            inv = pow(col[r], -1, p) if p else col[r]
+            for c2 in list(rows[r]):
+                if c2 != c:
+                    _add_column(cols, rows, c2, col, -cols[c2][r] * inv, p)
+            # row r is now zero outside column c, so row operations clear the
+            # rest of column c without touching any other column
+            for r2 in col:
+                cs = rows[r2]
+                cs.discard(c)
+                if not cs:
+                    del rows[r2]
+            swept = True
+            yield r, col
 
 
 def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
     """Rank of M over F_p: the pivot count of its sparse elimination."""
-    return len(_eliminate_mod_p(M, p))
+    check_prime(p)
+    return sum(1 for _ in _eliminate_unit_pivots(*_column_store(M, p), p))
 
 
 def quotient_map_mod_p(M: SparseIntMatrix, p: int) -> np.ndarray:
@@ -331,7 +360,8 @@ def quotient_map_mod_p(M: SparseIntMatrix, p: int) -> np.ndarray:
     are free or later pivot rows, so Q^T col = 0 for every pivot column.
     These span the column space, whose dimension rank is that of ker Q^T.
     """
-    pivots = _eliminate_mod_p(M, p)
+    check_prime(p)
+    pivots = list(_eliminate_unit_pivots(*_column_store(M, p), p))
     pivot_rows = {r for r, _ in pivots}
     free = [r for r in range(M.rows) if r not in pivot_rows]
     Q = np.zeros((M.rows, len(free)), dtype=np.int64)
@@ -411,15 +441,8 @@ class EchelonBasis:
         if not k:
             return V
         coeff = V[self._pivot_rows[:k], :]
-        basis = self._buf[:k].T
-        if self.p * self.p * k < 2**53:
-            # BLAS float64 product is exact while every dot product stays below 2^53
-            prod = basis.astype(np.float64) @ coeff.astype(np.float64)
-            prod = prod.astype(np.int64)
-        else:
-            prod = _matmul_mod(basis, coeff, self.p)
         # V is a fresh array here, so it is updated in place to save a copy
-        V -= prod
+        V -= _matmul_mod(self._buf[:k].T, coeff, self.p)
         V %= self.p
         return V
 
@@ -511,7 +534,7 @@ def smith_normal_form(M: SparseIntMatrix) -> SnfResult:
        which is in the hundreds for a boundary matrix.
     """
     cols, rows = _column_store(M)
-    ones = _eliminate_unit_pivots(cols, rows)
+    ones = sum(1 for _ in _eliminate_unit_pivots(cols, rows))
     core = _eliminate_core(cols, rows)
     for i in range(len(core)):
         for j in range(i + 1, len(core)):
@@ -521,69 +544,6 @@ def smith_normal_form(M: SparseIntMatrix) -> SnfResult:
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0, f"invariant factor chain broken: {a} does not divide {b}"
     return SnfResult(tuple(factors))
-
-
-def _add_column(
-    cols: dict[int, dict[int, int]],
-    rows: dict[int, set[int]],
-    c2: int,
-    col: dict[int, int],
-    f: int,
-) -> None:
-    """Column c2 += f * col in place, keeping rows in step; drops c2 if it empties."""
-    col2 = cols[c2]
-    for r2, v in col.items():
-        w = col2.get(r2, 0) + f * v
-        if w:
-            if r2 not in col2:
-                rows[r2].add(c2)
-            col2[r2] = w
-        elif r2 in col2:
-            del col2[r2]
-            rows[r2].discard(c2)
-    if not col2:
-        del cols[c2]
-
-
-def _eliminate_unit_pivots(
-    cols: dict[int, dict[int, int]], rows: dict[int, set[int]]
-) -> int:
-    """Eliminate +-1 pivots in place; returns how many were taken.
-
-    cols and rows are a column store as _column_store builds it. Emptied
-    rows and columns are removed from both.
-    """
-    taken = 0
-    swept = True
-    while swept:
-        swept = False
-        for c in list(cols):
-            col = cols.get(c)
-            if col is None:
-                continue
-            r = min(
-                (r for r, v in col.items() if v == 1 or v == -1),
-                key=lambda r: len(rows[r]),
-                default=None,
-            )
-            if r is None:
-                continue
-            pivot_col = cols.pop(c)
-            u = pivot_col[r]
-            # column operations clear row r outside the pivot column
-            for c2 in list(rows[r]):
-                if c2 != c:
-                    _add_column(cols, rows, c2, pivot_col, -cols[c2][r] * u)
-            # row r is now zero outside column c, so row operations clear the
-            # rest of column c without touching any other column
-            for r2 in pivot_col:
-                cs = rows[r2]
-                cs.discard(c)
-                if not cs:
-                    del rows[r2]
-            taken += 1
-            swept = True
-    return taken
 
 
 def _eliminate_core(

@@ -132,14 +132,12 @@ def _first_step(holds: Callable[[int], bool], lo: int, last: int) -> int:
 # shadow growth
 
 
-def shadow_growth_trial(
-    n: int, p: int, seed: int, force_full: bool = False
-) -> dict:
+def shadow_growth_trial(n: int, p: int, seed: int) -> dict:
     """Shadow deficit of one fixed-size sample at M = ceil((ln n / n) C(n,3))."""
     if n < 6:
         raise ValueError(f"need n >= 6, got {n}")
     M = math.ceil(math.log(n) / n * math.comb(n, 3))
-    Y = Complex.full(n) if force_full else sample_fixed_size(n, M, seed)
+    Y = sample_fixed_size(n, M, seed)
     deficit = shadow_size_deficit(Y, p)
     budget = n**3 / math.log(math.log(n))
     return {
@@ -156,9 +154,7 @@ def shadow_growth_trial(
 # torsion-free rank at the homology threshold
 
 
-def uncovered_rank_trial(
-    n: int, p_scale: float, seed: int, force_full: bool = False
-) -> dict:
+def uncovered_rank_trial(n: int, p_scale: float, seed: int) -> dict:
     """Compare H_1(Y;Z) of one binomial sample against its uncovered edges.
 
     The Betti number can never undercut the uncovered-edge count (each
@@ -166,7 +162,7 @@ def uncovered_rank_trial(
     asserted, while torsion-freeness and exact rank equality are recorded.
     """
     p = p_scale * math.log(n) / n
-    Y = Complex.full(n) if force_full else sample_binomial(n, p, seed)
+    Y = sample_binomial(n, p, seed)
     unc = len(uncovered_edges(Y))
     summary = homology_Z(Y)
     if summary.betti < unc:

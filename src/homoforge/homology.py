@@ -12,6 +12,7 @@ from .complexes import (
     Complex,
     iter_set_bits,
     triangle_edge_ranks,
+    triple_bits_from_bytes,
     uncovered_edges,
     unrank_triple,
 )
@@ -150,8 +151,7 @@ class ShadowSet:
         nbits = int.from_bytes(data[:8], "little")
         if nbits != math.comb(n, 3):
             raise ValueError(f"bitset length {nbits} does not match C({n},3)")
-        bits = int.from_bytes(data[8 : 8 + (nbits + 7) // 8], "little")
-        return cls(n, p, bits)
+        return cls(n, p, triple_bits_from_bytes(data[8:], n))
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:

@@ -19,6 +19,7 @@ from .complexes import (
     iter_set_bits,
     json_int_field,
     rank_triple,
+    triple_bits_from_bytes,
     unrank_triple,
 )
 from .homology import ShadowSet
@@ -123,12 +124,7 @@ class PartitionLabels:
         header = json.loads(header_line.decode())
         n = json_int_field(header, "n", "labels header")
         count_bad = json_int_field(header, "count_bad", "labels header")
-        expected = (math.comb(n, 3) + 7) // 8
-        if len(payload) != expected:
-            raise ValueError(
-                f"labels payload has {len(payload)} bytes, expected {expected}"
-            )
-        labels = cls(n, int.from_bytes(payload, "little"))
+        labels = cls(n, triple_bits_from_bytes(payload, n))
         if labels.count_bad != count_bad:
             raise ValueError("labels header count_bad does not match payload")
         return labels

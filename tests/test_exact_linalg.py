@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from itertools import combinations, permutations
@@ -23,7 +24,7 @@ from homoforge.exact_linalg import (
     EchelonBasis,
     MatrixFormatError,
     SparseIntMatrix,
-    _eliminate_mod_p,
+    _column_store,
     _eliminate_unit_pivots,
     boundary_columns_dense,
     boundary_matrix,
@@ -106,6 +107,7 @@ class TestSparseIntMatrix:
         m.set(0, 0, 5)
         m.set(0, 0, 0)
         assert m.nnz == 0
+        assert m == SparseIntMatrix(3, 3)
 
     def test_bounds_checked(self):
         m = SparseIntMatrix(2, 2)
@@ -185,10 +187,12 @@ class TestBoundaryMatrix:
                 expected = {}
                 for col, f in enumerate(sorted(faces, key=lambda t: t[::-1])):
                     for i in range(d + 1):
-                        expected[(row_of[f[:i] + f[i + 1 :]], col)] = (-1) ** i
+                        expected.setdefault(col, {})[row_of[f[:i] + f[i + 1 :]]] = (
+                            (-1) ** i
+                        )
                 m = boundary_matrix(Complex(n, d, faces))
                 assert (m.rows, m.cols) == (len(row_of), len(faces))
-                assert m.entries == expected
+                assert m.columns == expected
 
     def test_dense_builders_agree(self):
         Y = random_complex(7, 10, random.Random(1))
@@ -255,7 +259,7 @@ class TestRankModP:
             q = [int(x) for x in Q[:, k]]
             for j in range(m.cols):
                 assert sum(q[r] * dense[r][j] for r in range(m.rows)) % p == 0
-        pivot_rows = {r for r, _ in _eliminate_mod_p(m, p)}
+        pivot_rows = {r for r, _ in _eliminate_unit_pivots(*_column_store(m, p), p)}
         free = [r for r in range(m.rows) if r not in pivot_rows]
         assert Q[free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
 
@@ -410,9 +414,12 @@ class TestSmithNormalForm:
 
     def test_input_not_mutated(self):
         m = SparseIntMatrix.from_dense([[2, 4], [6, 8]])
-        snapshot = dict(m.entries)
+        snapshot = copy.deepcopy(m.columns)
         smith_normal_form(m)
-        assert m.entries == snapshot
+        for p in (2, 3):
+            rank_mod_p(m, p)
+            quotient_map_mod_p(m, p)
+        assert m.columns == snapshot
 
     def test_rp2_boundary(self, rp2):
         res = smith_normal_form(boundary_matrix(rp2))
@@ -517,9 +524,10 @@ class TestSmithNormalForm:
         else:
             Y = h_delta_prefix(25, 1025)
         m = boundary_matrix(Y)
-        scaled = SparseIntMatrix(
-            m.rows, m.cols, {e: k * v for e, v in m.entries.items()}
-        )
+        scaled = SparseIntMatrix(m.rows, m.cols)
+        for c, col in m.columns.items():
+            for r, v in col.items():
+                scaled.set(r, c, k * v)
         expected = tuple(k * d for d in smith_normal_form(m).invariant_factors)
         assert smith_normal_form(scaled).invariant_factors == expected
 
@@ -550,7 +558,7 @@ class TestEliminateUnitPivots:
                 if row[c]:
                     cols.setdefault(c, {})[r] = row[c]
                     rows.setdefault(r, set()).add(c)
-        taken = _eliminate_unit_pivots(cols, rows)
+        taken = sum(1 for _ in _eliminate_unit_pivots(cols, rows))
         assert all(v not in (1, -1) for col in cols.values() for v in col.values())
         assert all(cols.values())
         indexed = {}

@@ -16,7 +16,12 @@ from homoforge.experiments import (
     torsion_scan,
     uncovered_rank_trial,
 )
-from homoforge.homology import betti1_mod_p, homology_Z, is_H1_trivial_Z
+from homoforge.homology import (
+    betti1_mod_p,
+    homology_Z,
+    is_H1_trivial_Z,
+    shadow_size_deficit,
+)
 
 
 def prefix_complex(n, seed, steps, dim=2):
@@ -103,8 +108,7 @@ class TestHittingTimeTrial:
 
 class TestShadowGrowth:
     def test_full_complex_has_zero_deficit(self):
-        for seed in (0, 1):
-            assert shadow_growth_trial(8, 2, seed, force_full=True)["deficit"] == 0
+        assert shadow_size_deficit(Complex.full(8), 2) == 0
 
     def test_row_schema_and_budget(self):
         row = shadow_growth_trial(8, 2, seed=5)
@@ -134,11 +138,9 @@ class TestShadowGrowth:
 
 class TestUncoveredRank:
     def test_full_complex(self):
-        row = uncovered_rank_trial(8, 2.0, 3, force_full=True)
-        assert row["uncovered"] == 0
-        assert row["betti"] == 0
-        assert row["torsion_free"] == 1
-        assert row["rank_equals_uncovered"] == 1
+        Y = Complex.full(8)
+        assert uncovered_edges(Y) == []
+        assert homology_Z(Y).trivial
 
     def test_betti_dominates_uncovered(self):
         # the hard inequality: asserted inside the trial, verified here too

@@ -258,6 +258,23 @@ class TestShadowSerialization:
         with pytest.raises(ValueError):
             ShadowSet.from_bytes(raw, 7, 2)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            ShadowSet(5, 2, 2**10 - 1).to_bytes()[:-1],  # truncated payload
+            ShadowSet(5, 2, 2**10 - 1).to_bytes() + b"\x00",  # trailing byte
+            ShadowSet(5, 2).to_bytes()[:8] + b"\xff\xff",  # 16 bits of 10
+        ],
+        ids=["truncated", "trailing", "past_total"],
+    )
+    def test_malformed_payload_rejected(self, data):
+        with pytest.raises(ValueError):
+            ShadowSet.from_bytes(data, 5, 2)
+
+    def test_full_bitset_round_trip(self):
+        sh = ShadowSet(5, 2, 2**10 - 1)
+        assert ShadowSet.from_bytes(sh.to_bytes(), 5, 2).size == 10
+
     def test_summary_fields(self):
         sh = shadow(Complex.full(5), 2)
         assert sh.summary_dict() == {"n": 5, "p": 2, "size": 10, "deficit": 0}

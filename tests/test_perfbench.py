@@ -1,0 +1,56 @@
+"""The benchmark's tracer and micro-benchmarks still reach the layers they name.
+
+perfbench/ wraps homoforge functions by attribute name and imports them by
+name, so a renamed or moved layer would otherwise leave its spans empty
+without any error.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from homoforge.experiments import CampaignConfig, run_campaign
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracing"), importlib.import_module("micro")
+
+
+def test_trace_targets_are_own_attributes(perfbench):
+    # Tracer.installed() saves and restores owner.__dict__[attr]
+    tracing, _ = perfbench
+    for owner, attr, _, _ in tracing.TARGETS:
+        assert attr in owner.__dict__, (owner.__name__, attr)
+
+
+def test_micro_benchmarks_run(perfbench, monkeypatch):
+    _, micro = perfbench
+    monkeypatch.setattr(micro, "PREFIX_N", 8)
+    monkeypatch.setattr(micro, "PREFIX_FACES", 40)
+    monkeypatch.setattr(micro, "SNF_N", 8)
+    for fn in micro.benchmarks().values():
+        fn()
+
+
+@pytest.mark.parametrize(
+    "kind, prime, span",
+    [
+        ("hitting_time", 2, "exact_linalg.snf.calls"),
+        ("shadow_growth", 3, "homology.shadow.calls"),
+    ],
+)
+def test_traced_campaign_fills_layer_spans(perfbench, kind, prime, span):
+    tracing, _ = perfbench
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        run_campaign(
+            CampaignConfig(kind=kind, n=8, trials=3, seed_base=0, primes=(prime,))
+        )
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["experiments.trial.count"]["value"] == 3
+    assert metrics[span]["value"] > 0

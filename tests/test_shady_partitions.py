@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import combinations, permutations
@@ -286,3 +287,16 @@ class TestLabelsIO:
         path.write_bytes(raw[:-1])  # truncate payload
         with pytest.raises(ValueError):
             PartitionLabels.load(str(path))
+
+    def test_bit_past_last_triple_rejected(self, tmp_path):
+        # 11 bad triples claimed and set, but C(5,3) = 10 triples exist
+        path = tmp_path / "labels.bits"
+        header = json.dumps({"n": 5, "count_bad": 11}).encode()
+        path.write_bytes(header + b"\n" + b"\xff\x07")
+        with pytest.raises(ValueError, match="rank 10"):
+            PartitionLabels.load(str(path))
+
+    def test_full_labels_round_trip(self, tmp_path):
+        path = tmp_path / "labels.bits"
+        PartitionLabels(5, 2**10 - 1).save(str(path))
+        assert PartitionLabels.load(str(path)).count_bad == 10
