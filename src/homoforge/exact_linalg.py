@@ -261,7 +261,7 @@ def _column_store(
     """
     cols = {}
     for c, col in M.columns.items():
-        col = {r: v % p for r, v in col.items() if v % p} if p else dict(col)
+        col = {r: w for r, v in col.items() if (w := v % p)} if p else dict(col)
         if col:
             cols[c] = col
     rows: dict[int, set[int]] = {}
@@ -354,11 +354,18 @@ def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
 def quotient_map_mod_p(M: SparseIntMatrix, p: int) -> np.ndarray:
     """Q (rows x (rows - rank), entries in [0, p)) with ker Q^T = col span of M.
 
-    Q is the identity on the free rows, those that are no pivot row. In
-    reverse pivot order, a pivot u at row r of column col sets
-    Q[r] = -u^-1 * sum col[r2] * Q[r2] over the other rows r2 of col, which
-    are free or later pivot rows, so Q^T col = 0 for every pivot column.
-    These span the column space, whose dimension rank is that of ker Q^T.
+    Q is the identity on the free rows, those that are no pivot row. A pivot
+    u at row r of column col sets Q[r] = -u^-1 * sum col[r2] * Q[r2] over
+    the other rows r2 of col, which are free or later pivot rows, so
+    Q^T col = 0 for every pivot column. These span the column space, whose
+    dimension rank is that of ker Q^T.
+
+    The pivot rows are filled one level at a time: a pivot's level is one
+    more than the deepest later pivot row in its column (0 if none), so a
+    level reads only free rows and lower levels. A level takes one gather
+    of the rows it reads; each product coeff * Q[r2] is below p^2 < 2^62
+    and is reduced mod p before the per-pivot sums. A pivot column with no
+    entry besides its pivot leaves its row zero.
     """
     check_prime(p)
     pivots = list(_eliminate_unit_pivots(*_column_store(M, p), p))
@@ -366,10 +373,29 @@ def quotient_map_mod_p(M: SparseIntMatrix, p: int) -> np.ndarray:
     free = [r for r in range(M.rows) if r not in pivot_rows]
     Q = np.zeros((M.rows, len(free)), dtype=np.int64)
     Q[free, range(len(free))] = 1
+    # a pivot column has no entry in an earlier pivot row, so in reverse
+    # pivot order every pivot row it reads already has its level
+    level: dict[int, int] = {}
+    levels: list[list[tuple[int, dict[int, int]]]] = []
     for r, col in reversed(pivots):
-        neg_inv = p - pow(col.pop(r), -1, p)
-        coeff = np.array([[v * neg_inv % p for v in col.values()]], dtype=np.int64)
-        Q[r] = _matmul_mod(coeff, Q[list(col)], p)[0]
+        k = 1 + max((level[r2] for r2 in col if r2 in level), default=-1)
+        level[r] = k
+        if k == len(levels):
+            levels.append([])
+        levels[k].append((r, col))
+    for group in levels:
+        targets, starts, sources, coeffs = [], [], [], []
+        for r, col in group:
+            neg_inv = p - pow(col.pop(r), -1, p)
+            if col:
+                targets.append(r)
+                starts.append(len(sources))
+                sources.extend(col)
+                coeffs.extend(v * neg_inv % p for v in col.values())
+        if targets:
+            terms = Q[sources] * np.array(coeffs, dtype=np.int64)[:, None]
+            terms %= p
+            Q[targets] = np.add.reduceat(terms, starts, axis=0) % p
     return Q
 
 

@@ -41,6 +41,17 @@ from homoforge.exact_linalg import (
 
 BIG = 10**25
 
+# column 0 is its pivot alone, so its row of Q is zero; it shares the first
+# level of the quotient map with the last link of a path whose first link is
+# two levels deep
+LONE_PIVOT_BESIDE_PATH = [
+    [1, 0, 0, 0],
+    [0, 1, 0, 0],
+    [0, -1, 1, 0],
+    [0, 0, -1, 1],
+    [0, 0, 0, -1],
+]
+
 
 def sympy_invariant_factors(dense):
     """Nonzero diagonal of sympy's Smith normal form, as positive integers."""
@@ -92,6 +103,24 @@ def h_delta_prefix(n, seed):
         Y.add_face(f)
         if not uncovered_edges(Y):
             return Y
+
+
+def quotient_map_by_rows(m, p):
+    """Q of quotient_map_mod_p in Python integers: the identity on the free
+    rows, then one pivot row at a time in reverse pivot order."""
+    pivots = list(_eliminate_unit_pivots(*_column_store(m, p), p))
+    pivot_rows = {r for r, _ in pivots}
+    free = [r for r in range(m.rows) if r not in pivot_rows]
+    Q = [[0] * len(free) for _ in range(m.rows)]
+    for k, r in enumerate(free):
+        Q[r][k] = 1
+    for r, col in reversed(pivots):
+        neg_inv = -pow(col.pop(r), -1, p)
+        Q[r] = [
+            neg_inv * sum(v * Q[r2][k] for r2, v in col.items()) % p
+            for k in range(len(free))
+        ]
+    return Q
 
 
 def random_sparse(rng, max_dim=8, lo=-9, hi=9):
@@ -249,6 +278,9 @@ class TestRankModP:
         ],
         p=2**31 - 1,
     )
+    @example(dense=LONE_PIVOT_BESIDE_PATH, p=3)
+    @example(dense=LONE_PIVOT_BESIDE_PATH, p=2**31 - 1)
+    @example(dense=[[0, 0], [0, 0], [0, 0]], p=3)  # no pivots
     def test_quotient_map(self, dense, p):
         m = SparseIntMatrix.from_dense(dense)
         rank = rank_mod_p_oracle(dense, p)
@@ -259,9 +291,7 @@ class TestRankModP:
             q = [int(x) for x in Q[:, k]]
             for j in range(m.cols):
                 assert sum(q[r] * dense[r][j] for r in range(m.rows)) % p == 0
-        pivot_rows = {r for r, _ in _eliminate_unit_pivots(*_column_store(m, p), p)}
-        free = [r for r in range(m.rows) if r not in pivot_rows]
-        assert Q[free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
+        assert Q.tolist() == quotient_map_by_rows(m, p)
 
     def test_is_prime(self):
         primes = {2, 3, 5, 7, 11, 13, 97, 7919}

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -14,10 +15,11 @@ from homoforge.complexes import (
     triples_colex,
     uncovered_edges,
 )
-from homoforge.exact_linalg import boundary_matrix
+from homoforge.exact_linalg import boundary_matrix, quotient_map_mod_p, rank_mod_p
 from homoforge.homology import (
     HomologySummary,
     ShadowSet,
+    _cycle_boundary,
     betti1_mod_p,
     cycle_space_dim,
     homology_Z,
@@ -226,6 +228,34 @@ class TestShadow:
             cur = shadow_size_deficit(Y, 2)
             assert cur <= prev
             prev = cur
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(3, 9),
+        num_faces=st.integers(0, 84),
+        seed=st.integers(0, 2**32 - 1),
+        p=st.sampled_from([2, 3, 5, 2**31 - 1]),
+    )
+    def test_cycle_rows_keep_rank(self, n, num_faces, seed, p):
+        # restricting to the edges that avoid n-1 is injective on cycles
+        Y = random_complex(n, num_faces, random.Random(seed))
+        C = _cycle_boundary(Y)
+        assert rank_mod_p(C, p) == rank_mod_p(boundary_matrix(Y), p)
+        assert quotient_map_mod_p(C, p).shape[1] == betti1_mod_p(Y, p)
+
+    # sha256 of shadow(sample_fixed_size(30, 461, seed), 3).to_bytes(), the
+    # shadow_p3 benchmark size; a deficit cannot see two swapped members
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (3000, "bf4b5d94312bf96dbc5232a403c4c23a05e3d3b23cf1568141342c9261374023"),
+            (3001, "b919345c08ac823510d2677731ef67f1bb9760b4e76a26e195d62a16000607a2"),
+            (3002, "d74ac62f7d72e5e1ef2a18c8979f7d824153f3d234ef6b3a359514899c137b21"),
+        ],
+    )
+    def test_pinned_bits_at_workload_size(self, seed, digest):
+        sh = shadow(sample_fixed_size(30, 461, seed), 3)
+        assert hashlib.sha256(sh.to_bytes()).hexdigest() == digest
 
     def test_shadow_requires_dim2(self):
         with pytest.raises(ValueError):
