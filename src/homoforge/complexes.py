@@ -316,20 +316,32 @@ def sample_fixed_size(n: int, M: int, seed: int, dim: int = 2) -> Complex:
 
 
 def sample_binomial(n: int, p: float, seed: int, dim: int = 2) -> Complex:
-    """The binomial model: each face included independently with probability p."""
+    """The binomial model: each face included independently with probability p.
+
+    One rng.random() is drawn per face, in the lexicographic order of
+    combinations, and none when p is 0 or 1. Faces from combinations are
+    valid by construction, so the face set and edge counts are built in
+    bulk rather than through add_face.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p={p} outside [0, 1]")
     if n < dim + 1:
         raise ValueError(f"need n >= {dim + 1}, got n={n}")
-    rng = random.Random(seed)
     Y = Complex(n, dim)
     if p == 0.0:
         return Y
     from itertools import combinations
 
-    for f in combinations(range(n), dim + 1):
-        if p == 1.0 or rng.random() < p:
-            Y.add_face(f)
+    faces = combinations(range(n), dim + 1)
+    if p < 1.0:
+        draw = random.Random(seed).random
+        faces = [f for f in faces if draw() < p]
+    Y.faces = set(faces)
+    if Y.edge_cover_count is not None:
+        count = Y.edge_cover_count
+        for f in Y.faces:
+            for r in triangle_edge_ranks(f):
+                count[r] += 1
     return Y
 
 

@@ -4,10 +4,13 @@ A sparse matrix is stored by columns, each a {row: nonzero value} dict,
 and boundary_column gives the one column of a face. Both eliminations
 copy those columns into a column store with a row index and run one
 sparse unit-pivot loop: over Z a unit is +-1, over F_p any nonzero
-entry. Over Z the Smith normal form then diagonalises the residual core
-by division with remainder on Python integers; over F_p the pivots give
-the rank and a quotient map whose kernel is the column space. Dense
-products mod p are kept below 2^63.
+entry. The loop peels columns with a single unit entry first, which
+needs no fill-in; in the cycle coordinates that homology uses, that
+peeling takes most pivots and often all. Over Z the Smith normal form
+then diagonalises the residual core by division with remainder on
+Python integers; over F_p the pivots give the rank and a quotient map
+whose kernel is the column space. Dense products mod p are kept below
+2^63.
 """
 
 from __future__ import annotations
@@ -278,10 +281,10 @@ def _add_column(
     col: dict[int, int],
     f: int,
     p: int = 0,
-) -> None:
+) -> int:
     """Column c2 += f * col in place, mod p when p is given; keeps rows in step.
 
-    Column c2 is dropped if it empties.
+    Column c2 is dropped if it empties. Returns its number of entries.
     """
     col2 = cols[c2]
     for r2, v in col.items():
@@ -297,6 +300,7 @@ def _add_column(
             rows[r2].discard(c2)
     if not col2:
         del cols[c2]
+    return len(col2)
 
 
 def _eliminate_unit_pivots(
@@ -304,28 +308,56 @@ def _eliminate_unit_pivots(
 ) -> Iterator[tuple[int, dict[int, int]]]:
     """Eliminate unit pivots in place over Z/p (Z for p = 0), in column sweeps.
 
-    A unit is +-1 over Z and any nonzero entry over F_p. A column that
-    still has a unit pivots on the one whose row has the fewest columns:
-    column operations clear its row from every other column, and its row
-    and column are dropped. Fill-in can create a unit over Z in a column
-    already passed, so sweeps repeat until one takes no pivot; over F_p
-    the first sweep leaves no column. Yields each (pivot row, pivot column)
-    as taken; the pivot column is as it stood then, so it has no entry in
-    an earlier pivot row. cols and rows are a column store as
-    _column_store builds it; emptied rows and columns are removed.
+    A unit is +-1 over Z and any nonzero entry over F_p. Lone columns, those
+    with exactly one entry, go first: a stack holds the initial ones and
+    every column that a pivot shrinks to one entry, and it is emptied
+    before the sweep takes its next column. A lone unit u at row r clears
+    its row by deleting entry r from the other columns of the row, since
+    subtracting (v / u) times the column removes v and touches nothing
+    else; so peeling adds no fill-in, and a column it empties is dropped.
+    Deleting entries makes more columns lone, so peeling cascades. Over Z a
+    lone non-unit is skipped. In cycle coordinates every face through the
+    cone vertex is a lone +-1 (see homology.shadow), and on complexes of
+    the random process the cascade takes most pivots, often all of them.
+
+    Otherwise a column that still has a unit pivots on the one whose row has
+    the fewest columns: column operations clear its row from every other
+    column, and its row and column are dropped. Fill-in can create a unit
+    over Z in a column already passed, so sweeps repeat until one takes no
+    pivot; over F_p the first sweep leaves no column. Yields each (pivot
+    row, pivot column) as taken; the pivot column is as it stood then, so
+    it has no entry in an earlier pivot row. cols and rows are a column
+    store as _column_store builds it; emptied rows and columns are removed.
     """
+    lone = [c for c, col in cols.items() if len(col) == 1]
     swept = True
     while swept:
         swept = False
         for c in list(cols):
+            while lone:
+                c1 = lone.pop()
+                col = cols.get(c1)
+                if col is None or len(col) != 1:
+                    continue
+                [(r, u)] = col.items()
+                if not p and u != 1 and u != -1:
+                    continue
+                del cols[c1]
+                for c2 in rows.pop(r):
+                    if c2 != c1:
+                        col2 = cols[c2]
+                        del col2[r]
+                        if len(col2) == 1:
+                            lone.append(c2)
+                        elif not col2:
+                            del cols[c2]
+                swept = True
+                yield r, col
             col = cols.get(c)
             if col is None:
                 continue
-            r = min(
-                (r for r, v in col.items() if p or v == 1 or v == -1),
-                key=lambda r: len(rows[r]),
-                default=None,
-            )
+            units = col if p else [r for r, v in col.items() if v == 1 or v == -1]
+            r = min(units, key=lambda r: len(rows[r]), default=None)
             if r is None:
                 continue
             del cols[c]
@@ -333,7 +365,8 @@ def _eliminate_unit_pivots(
             inv = pow(col[r], -1, p) if p else col[r]
             for c2 in list(rows[r]):
                 if c2 != c:
-                    _add_column(cols, rows, c2, col, -cols[c2][r] * inv, p)
+                    if _add_column(cols, rows, c2, col, -cols[c2][r] * inv, p) == 1:
+                        lone.append(c2)
             # row r is now zero outside column c, so row operations clear the
             # rest of column c without touching any other column
             for r2 in col:
@@ -543,15 +576,15 @@ def smith_normal_form(M: SparseIntMatrix) -> SnfResult:
     the eliminations are unimodular, so the cokernel and hence the
     torsion are kept:
 
-    1. Unit-pivot elimination in sweeps over the columns. A column that
-       still has a +-1 entry pivots on the one whose row has the fewest
-       columns: its row is cleared with column operations, its row and
-       column are dropped and one invariant factor 1 is counted. Fill-in
-       can create a unit in a column already passed, so sweeps repeat
-       until one takes no pivot. The invariant factors of a matrix are
-       unique, so the pivot order changes only the cost, never the
-       factors. Boundary matrices have +-1 entries, so this usually
-       eliminates all of them.
+    1. Unit-pivot elimination (_eliminate_unit_pivots); each pivot drops
+       its row and column and counts one invariant factor 1. Columns that
+       are a lone +-1 go first and clear their row by deleting entries,
+       with no fill-in; then sweeps over the columns pivot each remaining
+       +-1 entry on the row with the fewest columns, by column operations.
+       The invariant factors of a matrix are unique, so the pivot order
+       changes only the cost, never the factors. Boundary matrices have
+       +-1 entries, so this usually eliminates all of them; in cycle
+       coordinates (homology.homology_Z) the lone units alone usually do.
     2. Elimination of the residual core (the rows and columns still
        nonzero) by division with remainder, which leaves it diagonal.
     3. A gcd/lcm exchange puts that diagonal in divisibility order. It

@@ -64,35 +64,33 @@ def betti1_mod_p(Y: Complex, p: int) -> int:
 def homology_Z(Y: Complex) -> HomologySummary:
     """H_{d-1}(Y; Z) of a complex with full (d-1)-skeleton, via Smith form.
 
-    The boundary matrix is used raw, without passing to cycle coordinates:
-    the quotient of the (d-1)-chains by the kernel of their boundary is free,
-    so C_{d-1}/im(boundary) splits as H_{d-1} plus a free group and the two
-    have identical torsion. The Betti number comes from the rational rank,
-    betti = C(n-1, d) - rank.
-
-    Cycle coordinates, which shadow uses, would be exact here too, but they
-    saved only 2-3% of a Smith form on a 2-core x86 machine: 5.61 -> 5.47 ms
-    on n=25 hitting prefixes at h_delta, 9.29 -> 9.07 ms on n=30
-    uncovered_rank samples (medians of 10 interleaved runs), well inside the
-    run-to-run spread of either campaign.
+    The Smith form runs in cycle coordinates, on _cycle_boundary(Y), by the
+    cone-basis argument of shadow in any d. The cones boundary(s + {n-1}),
+    over the (d-1)-faces s that avoid vertex n-1, are a Z-basis of the
+    (d-1)-cycles: a cycle z minus the sum of z_s times the cone of s is a
+    cycle on the faces through n-1 alone, and such a chain n-1 * c has
+    boundary c -+ n-1 * boundary(c), which vanishes only for c = 0. So a
+    cycle's coordinates are its entries on the rows below C(n-1, d), and
+    the cut maps the cycles isomorphically onto Z^C(n-1, d) and the
+    boundaries onto its column lattice. Its cokernel is exactly H_{d-1}:
+    betti = C(n-1, d) - rank, and the torsion is that of the Smith form.
+    Every face through n-1 is a lone +-1 there, which the unit-pivot
+    elimination peels first and without fill-in.
     """
-    snf = smith_normal_form(boundary_matrix(Y))
+    snf = smith_normal_form(_cycle_boundary(Y))
     betti = cycle_space_dim(Y.n, Y.dim) - snf.rank
     return HomologySummary(betti=betti, torsion=snf.torsion_factors())
 
 
 def is_H1_trivial_Z(Y: Complex) -> bool:
-    """Whether H_1(Y; Z) = 0, cheapest-first.
+    """Whether H_1(Y; Z) = 0.
 
     An uncovered edge forces a nontrivial class over every coefficient
-    group, and a nonzero F_2 Betti number rules out triviality before any
-    integer elimination is attempted.
+    group, so that count decides first; otherwise one Smith form does.
     """
     if Y.dim != 2:
         raise ValueError("is_H1_trivial_Z requires a 2-dimensional complex")
     if uncovered_edges(Y):
-        return False
-    if betti1_mod_p(Y, 2) != 0:
         return False
     return homology_Z(Y).trivial
 
@@ -179,12 +177,13 @@ _SHADOW_CHUNK = 4096
 
 
 def _cycle_boundary(Y: Complex) -> SparseIntMatrix:
-    """boundary_matrix(Y) of a 2-complex on the rows below C(n-1, 2): the
-    edges that avoid vertex n-1, which give a cycle's coordinates in the
-    cone basis (see shadow). A triangle keeps at least its edge ab.
+    """boundary_matrix(Y) on the rows below C(n-1, d): the (d-1)-faces that
+    avoid vertex n-1, which give a cycle's coordinates in the cone basis
+    (see shadow). A face keeps at least its facet without its top vertex;
+    a face through n-1 keeps only that facet, a lone +-1.
     """
     B = boundary_matrix(Y)
-    B.rows = math.comb(Y.n - 1, 2)
+    B.rows = math.comb(Y.n - 1, Y.dim)
     # columns are in colex order, so those of the faces through n-1 come last
     for col in reversed(B.columns.values()):
         if max(col) < B.rows:

@@ -244,6 +244,21 @@ class TestBinomial:
         stderr = math.sqrt(math.comb(20, 3) * 0.25) / math.sqrt(trials)
         assert abs(mean - 570.0) < 3 * stderr + 1e-9
 
+    @pytest.mark.parametrize(
+        "n, p, seed, dim",
+        [(20, 0.5, 3, 2), (30, 0.2267, 7000, 2), (6, 1.0, 1, 2), (9, 0.3, 5, 3), (8, 0.5, 2, 1)],
+    )
+    def test_matches_add_face_reference(self, n, p, seed, dim):
+        # one draw per face in combinations order, counts as add_face keeps them
+        rng = random.Random(seed)
+        ref = Complex(n, dim)
+        for f in combinations(range(n), dim + 1):
+            if p == 1.0 or rng.random() < p:
+                ref.add_face(f)
+        Y = sample_binomial(n, p, seed, dim)
+        assert Y == ref
+        assert Y.edge_cover_count == ref.edge_cover_count
+
     def test_fixed_size_model(self):
         Y = sample_fixed_size(10, 17, 5)
         assert Y.num_faces == 17

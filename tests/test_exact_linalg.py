@@ -24,6 +24,7 @@ from homoforge.exact_linalg import (
     EchelonBasis,
     MatrixFormatError,
     SparseIntMatrix,
+    _add_column,
     _column_store,
     _eliminate_unit_pivots,
     boundary_columns_dense,
@@ -37,6 +38,7 @@ from homoforge.exact_linalg import (
     smith_normal_form,
     write_matrix_file,
 )
+from homoforge.homology import homology_Z
 
 
 BIG = 10**25
@@ -581,6 +583,10 @@ class TestEliminateUnitPivots:
     @given(dense=unit_pivot_matrices())
     # the first pivot (column 1) leaves the only unit in the swept column 0
     @example(dense=[[2, 1], [3, 1]])
+    # column 0 is a lone non-unit, skipped and left in the core
+    @example(dense=[[2, 1], [0, 1]])
+    # two identical lone columns: the first pivot empties the second
+    @example(dense=[[1, 1]])
     def test_no_unit_left_and_index_consistent(self, dense):
         cols, rows = {}, {}
         for c in range(len(dense[0])):
@@ -597,7 +603,23 @@ class TestEliminateUnitPivots:
                 indexed.setdefault(r, set()).add(c)
         assert rows == indexed
         core = [[col.get(r, 0) for col in cols.values()] for r in rows]
-        assert taken + rank_over_Q(core) == rank_over_Q(dense)
+        # unimodular steps: the pivots are factors 1 and the core keeps the rest
+        factors = (1,) * taken + sympy_invariant_factors(core)
+        assert factors == sympy_invariant_factors(dense)
+
+    @pytest.mark.parametrize("n, seed", [(25, 1025), (40, 40000)])
+    def test_h_delta_prefix_takes_no_fill(self, n, seed, monkeypatch):
+        # in cycle coordinates lone units peel every pivot, so homology_Z
+        # never adds one column to another
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return _add_column(*args)
+
+        monkeypatch.setattr("homoforge.exact_linalg._add_column", counted)
+        assert homology_Z(h_delta_prefix(n, seed)).trivial
+        assert calls == []
 
 
 class TestMinorGcdOracle:

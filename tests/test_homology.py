@@ -15,7 +15,12 @@ from homoforge.complexes import (
     triples_colex,
     uncovered_edges,
 )
-from homoforge.exact_linalg import boundary_matrix, quotient_map_mod_p, rank_mod_p
+from homoforge.exact_linalg import (
+    boundary_matrix,
+    quotient_map_mod_p,
+    rank_mod_p,
+    smith_normal_form,
+)
 from homoforge.homology import (
     HomologySummary,
     ShadowSet,
@@ -35,6 +40,13 @@ def definitional_member(Y, t, p):
     bigger = Y.copy()
     bigger.add_face(t)
     return betti1_mod_p(bigger, p) == before
+
+
+def raw_boundary_homology(Y):
+    """H_{d-1}(Y; Z) from the Smith form of the full boundary matrix, whose
+    cokernel is H_{d-1} plus a free group of rank C(n, d) - C(n-1, d)."""
+    snf = smith_normal_form(boundary_matrix(Y))
+    return HomologySummary(math.comb(Y.n - 1, Y.dim) - snf.rank, snf.torsion_factors())
 
 
 class TestBetti:
@@ -96,6 +108,25 @@ class TestHomologyZ:
 
     def test_ln_torsion_order(self, rp2):
         assert homology_Z(rp2).ln_torsion_order() == pytest.approx(math.log(2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        n=st.integers(4, 8),
+        fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cycle_coordinates_exact_in_every_d(self, d, n, fraction, seed):
+        # the cut to the rows below C(n-1, d) keeps H_{d-1} over Z exactly
+        all_faces = list(combinations(range(n), d + 1))
+        picked = random.Random(seed).sample(all_faces, round(fraction * len(all_faces)))
+        Y = Complex(n, d, picked)
+        assert homology_Z(Y) == raw_boundary_homology(Y)
+
+    @pytest.mark.parametrize("case", ["rp2", "torus"])
+    def test_cycle_coordinates_exact_on_surfaces(self, case, request):
+        Y = request.getfixturevalue(case)
+        assert homology_Z(Y) == raw_boundary_homology(Y)
 
 
 class TestTriviality:
