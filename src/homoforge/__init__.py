@@ -3,8 +3,8 @@
 from .complexes import (
     Complex,
     ProcessStream,
+    TripleSet,
     load_complex,
-    min_edge_degree,
     rank_triple,
     sample_binomial,
     sample_fixed_size,
@@ -34,7 +34,6 @@ from .experiments import (
 )
 from .homology import (
     HomologySummary,
-    ShadowSet,
     betti1_mod_p,
     homology_Z,
     is_H1_trivial_Z,
@@ -43,10 +42,11 @@ from .homology import (
 )
 from .shady_partitions import (
     CascadeResult,
-    PartitionLabels,
     ShadyReport,
     Thresholds,
     cascade,
+    load_labels,
+    save_labels,
     verify_shady,
 )
 

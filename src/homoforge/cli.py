@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import experiments
@@ -19,7 +18,7 @@ from .complexes import load_complex, save_complex, uncovered_edges
 from .exact_linalg import MatrixFormatError, read_matrix_file, smith_normal_form
 from .experiments import CampaignConfig, run_campaign
 from .homology import homology_Z, shadow
-from .shady_partitions import PartitionLabels, Thresholds, verify_shady
+from .shady_partitions import Thresholds, load_labels, verify_shady
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,19 +95,10 @@ def _campaign_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True, help="base seed; trial i uses seed+i")
-    p.add_argument("--jobs", type=int, help="worker processes (default HOMOFORGE_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--out", help="output prefix for <out>.csv and <out>.json")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="stdout row format when --out is omitted")
-
-
-def _resolve_jobs(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get("HOMOFORGE_JOBS", "")
-    if env:
-        return int(env)
-    return 1
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -154,18 +144,22 @@ def cmd_snf(args: argparse.Namespace) -> int:
 def cmd_shadow(args: argparse.Namespace) -> int:
     Y = load_complex(args.infile)
     sh = shadow(Y, args.prime)
+    deficit = sh.total - sh.size
     if args.out:
-        sh.save(f"{args.out}.bits")
-        sh.save_summary(f"{args.out}.json")
-    print(f"size={sh.size} deficit={sh.deficit}")
+        with open(f"{args.out}.bits", "wb") as fh:
+            fh.write(sh.to_bytes())
+        summary = {"n": Y.n, "p": args.prime, "size": sh.size, "deficit": deficit}
+        with open(f"{args.out}.json", "w", newline="\n") as fh:
+            fh.write(json.dumps(summary, sort_keys=True) + "\n")
+    print(f"size={sh.size} deficit={deficit}")
     return 0
 
 
 def cmd_verify_partition(args: argparse.Namespace) -> int:
     Y = load_complex(args.infile)
-    labels = PartitionLabels.load(args.labels)
-    if Y.n != labels.n:
-        raise ValueError(f"complex n={Y.n} does not match labels n={labels.n}")
+    bad = load_labels(args.labels)
+    if Y.n != bad.n:
+        raise ValueError(f"complex n={Y.n} does not match labels n={bad.n}")
     base = Thresholds.defaults(Y.n)
     thresholds = Thresholds(
         theta_edge=args.theta_edge if args.theta_edge is not None else base.theta_edge,
@@ -174,7 +168,7 @@ def cmd_verify_partition(args: argparse.Namespace) -> int:
         ),
         max_bad_triples=args.max_bad if args.max_bad is not None else base.max_bad_triples,
     )
-    report = verify_shady(Y, labels, thresholds)
+    report = verify_shady(Y, bad, thresholds)
     print(json.dumps(report.to_json_dict(), sort_keys=True))
     return 0 if report.passed else 1
 
@@ -192,7 +186,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         n=args.n,
         trials=args.trials,
         seed_base=args.seed,
-        jobs=_resolve_jobs(args),
+        jobs=args.jobs,
         out=args.out,
         **options,
     )

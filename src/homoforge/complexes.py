@@ -3,6 +3,10 @@
 Vertices are 0-based internally; all file formats and CLI output use
 1-based labels. Faces of dimension d are sorted (d+1)-tuples of vertex
 ids, indexed by their colexicographic rank.
+
+TripleSet is the one bitset over the C(n,3) triple ranks, used for shadows
+and for the bad side of a partition. A shadow .bits file holds its
+to_bytes(); a labels file holds a JSON header line, then its payload().
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import math
 import random
 from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -55,18 +61,6 @@ def _unrank(r: int, table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(face)
 
 
-def unrank_face(r: int, k: int) -> tuple[int, ...]:
-    """Inverse of rank_face for k-element faces on at most MAX_VERTICES vertices."""
-    if r < 0:
-        raise ValueError(f"rank must be nonnegative, got {r}")
-    table = colex_table(MAX_VERTICES, k)
-    if r >= table[k][MAX_VERTICES]:
-        raise ValueError(
-            f"rank {r} is past the last {k}-face on {MAX_VERTICES} vertices"
-        )
-    return _unrank(r, table)
-
-
 def _validate_face(face: Sequence[int], n: int, d: int) -> tuple[int, ...]:
     t = tuple(face)
     if len(t) != d + 1:
@@ -100,21 +94,10 @@ def triples_colex(n: int) -> Iterator[tuple[int, int, int]]:
                 yield (a, b, c)
 
 
-def rank_edge(e: Sequence[int]) -> int:
-    a, b = e
-    return math.comb(b, 2) + a
-
-
 def unrank_edge(r: int) -> tuple[int, int]:
     # the largest b with C(b, 2) = b(b-1)/2 <= r
     b = (1 + math.isqrt(1 + 8 * r)) // 2
     return (r - b * (b - 1) // 2, b)
-
-
-def edges_colex(n: int) -> Iterator[tuple[int, int]]:
-    for b in range(1, n):
-        for a in range(b):
-            yield (a, b)
 
 
 def triangle_edge_ranks(face: Sequence[int]) -> tuple[int, int, int]:
@@ -134,29 +117,93 @@ def face_edges(face: Sequence[int]) -> list[tuple[int, int]]:
     return [(face[i], face[j]) for i in range(k) for j in range(i + 1, k)]
 
 
-def iter_set_bits(bits: int) -> Iterator[int]:
-    """Positions of the set bits of a rank bitset, lowest first."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+# ---------------------------------------------------------------------------
+# sets of triples
 
 
-def triple_bits_from_bytes(payload: bytes, n: int) -> int:
-    """The bitset over the C(n,3) triple ranks that payload stores little-endian.
+class TripleSet:
+    """A set of triples of [0, n), stored as a bitset over their colex ranks.
 
-    Raises ValueError unless payload has (C(n,3) + 7) // 8 bytes and no bit
-    set at or past C(n,3), the rank count.
+    Bit r of bits is set iff the triple of colex rank r is a member. The
+    payload is the bitset little-endian in (C(n,3) + 7) // 8 bytes; to_bytes
+    prefixes it with the bit count C(n,3) as 8 little-endian bytes. Both
+    readers reject a wrong length and a bit at or past C(n,3).
     """
-    total = math.comb(n, 3)
-    if len(payload) != (total + 7) // 8:
-        raise ValueError(
-            f"bitset payload has {len(payload)} bytes, expected {(total + 7) // 8}"
-        )
-    bits = int.from_bytes(payload, "little")
-    if bits >> total:
-        raise ValueError(f"bitset sets rank {bits.bit_length() - 1} >= C({n},3)")
-    return bits
+
+    __slots__ = ("n", "bits")
+
+    def __init__(self, n: int, bits: int = 0):
+        self.n = n
+        self.bits = bits
+
+    @classmethod
+    def of(cls, n: int, triples: Iterable[Sequence[int]]) -> "TripleSet":
+        """The set of the given triples, each in any vertex order."""
+        bits = 0
+        for t in triples:
+            bits |= 1 << rank_triple(sorted(t), n)
+        return cls(n, bits)
+
+    @property
+    def total(self) -> int:
+        return math.comb(self.n, 3)
+
+    @property
+    def size(self) -> int:
+        return self.bits.bit_count()
+
+    def complement(self) -> "TripleSet":
+        return TripleSet(self.n, ((1 << self.total) - 1) & ~self.bits)
+
+    def contains_rank(self, r: int) -> bool:
+        return bool(self.bits >> r & 1)
+
+    def contains(self, t: Sequence[int]) -> bool:
+        """Membership of a triple in any vertex order; ValueError if it is invalid."""
+        return self.contains_rank(rank_triple(sorted(t), self.n))
+
+    def ranks(self) -> Iterator[int]:
+        """Member ranks, lowest first."""
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            yield low.bit_length() - 1
+            bits ^= low
+
+    def triples(self) -> Iterator[tuple[int, int, int]]:
+        """Members in colex order."""
+        for r in self.ranks():
+            yield unrank_triple(r, self.n)
+
+    def payload(self) -> bytes:
+        return self.bits.to_bytes((self.total + 7) // 8, "little")
+
+    @classmethod
+    def from_payload(cls, payload: bytes, n: int) -> "TripleSet":
+        total = math.comb(n, 3)
+        if len(payload) != (total + 7) // 8:
+            raise ValueError(
+                f"bitset payload has {len(payload)} bytes, expected {(total + 7) // 8}"
+            )
+        bits = int.from_bytes(payload, "little")
+        if bits >> total:
+            raise ValueError(f"bitset sets rank {bits.bit_length() - 1} >= C({n},3)")
+        return cls(n, bits)
+
+    @classmethod
+    def from_mask(cls, n: int, member: np.ndarray) -> "TripleSet":
+        """The set of the ranks r with member[r], for a boolean array of length C(n,3)."""
+        return cls.from_payload(np.packbits(member, bitorder="little").tobytes(), n)
+
+    def to_bytes(self) -> bytes:
+        return self.total.to_bytes(8, "little") + self.payload()
+
+    @classmethod
+    def from_bytes(cls, data: bytes, n: int) -> "TripleSet":
+        nbits = int.from_bytes(data[:8], "little")
+        if nbits != math.comb(n, 3):
+            raise ValueError(f"bitset length {nbits} does not match C({n},3)")
+        return cls.from_payload(data[8:], n)
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +291,8 @@ class Complex:
         return f"Complex(n={self.n}, dim={self.dim}, faces={len(self.faces)})"
 
 
-def min_edge_degree(Y: Complex) -> int:
-    """Smallest number of triangles covering any edge (delta)."""
-    _require_dim2(Y)
-    assert Y.edge_cover_count is not None
-    return min(Y.edge_cover_count)
-
-
 def uncovered_edges(Y: Complex) -> list[tuple[int, int]]:
-    """Edges contained in no triangle; empty iff min_edge_degree > 0."""
+    """Edges contained in no triangle, in colex order."""
     _require_dim2(Y)
     assert Y.edge_cover_count is not None
     return [unrank_edge(r) for r, c in enumerate(Y.edge_cover_count) if c == 0]

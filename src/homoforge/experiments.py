@@ -247,9 +247,13 @@ def torsion_scan(
         raise ValueError("stride must be positive")
     rows, total = math.comb(n, d), math.comb(n, d + 1)
     if rows > _SCAN_MAX_ROWS or total > _SCAN_MAX_FACES:
+        n_max = d
+        while (math.comb(n_max + 1, d) <= _SCAN_MAX_ROWS
+               and math.comb(n_max + 1, d + 1) <= _SCAN_MAX_FACES):
+            n_max += 1
         raise ValueError(
             f"scan at n={n}, d={d} needs Smith forms on {rows}x{total} matrices; "
-            f"reduce n (guideline: n <= 14 for d = 2)"
+            f"reduce n (guideline: n <= {n_max} for d = {d})"
         )
     trace = TorsionTrace(n=n, d=d, seed=seed, factors_at={} if keep_factors else None)
 

@@ -1,21 +1,17 @@
-"""First homology over Z and F_p, triviality tests, and homological shadows."""
+"""First homology over Z and F_p, triviality tests, and homological shadows.
+
+shadow returns a complexes.TripleSet; the CLI's shadow command writes its
+to_bytes() as <out>.bits and {n, p, size, deficit} as <out>.json.
+"""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (
-    Complex,
-    iter_set_bits,
-    triangle_edge_ranks,
-    triple_bits_from_bytes,
-    uncovered_edges,
-    unrank_triple,
-)
+from .complexes import Complex, TripleSet, triangle_edge_ranks, uncovered_edges
 from .exact_linalg import (
     SparseIntMatrix,
     boundary_columns_dense,  # unused; perfbench's tracer wraps this binding
@@ -99,80 +95,6 @@ def is_H1_trivial_Z(Y: Complex) -> bool:
 # shadows
 
 
-class ShadowSet:
-    """Membership bitset over triple ranks: the F_p-shadow of a complex.
-
-    A triple belongs to the shadow iff adding it leaves H_1(.; F_p)
-    unchanged, equivalently iff its boundary lies in the span of the
-    boundary columns of the existing faces. Bit r of bits is set iff the
-    triple of colex rank r is a member.
-    """
-
-    __slots__ = ("n", "p", "bits")
-
-    def __init__(self, n: int, p: int, bits: int = 0):
-        self.n = n
-        self.p = p
-        self.bits = bits
-
-    @property
-    def total(self) -> int:
-        return math.comb(self.n, 3)
-
-    @property
-    def size(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def deficit(self) -> int:
-        return self.total - self.size
-
-    def contains_rank(self, r: int) -> bool:
-        return bool(self.bits >> r & 1)
-
-    def contains(self, t) -> bool:
-        from .complexes import rank_triple
-
-        return self.contains_rank(rank_triple(t, self.n))
-
-    def member_ranks(self):
-        return iter_set_bits(self.bits)
-
-    def members(self):
-        for r in self.member_ranks():
-            yield unrank_triple(r, self.n)
-
-    def summary_dict(self) -> dict:
-        return {"n": self.n, "p": self.p, "size": self.size, "deficit": self.deficit}
-
-    def to_bytes(self) -> bytes:
-        """Length-prefixed bitset: 8-byte little-endian bit count, then payload."""
-        nbits = self.total
-        payload = self.bits.to_bytes((nbits + 7) // 8, "little")
-        return nbits.to_bytes(8, "little") + payload
-
-    @classmethod
-    def from_bytes(cls, data: bytes, n: int, p: int) -> "ShadowSet":
-        nbits = int.from_bytes(data[:8], "little")
-        if nbits != math.comb(n, 3):
-            raise ValueError(f"bitset length {nbits} does not match C({n},3)")
-        return cls(n, p, triple_bits_from_bytes(data[8:], n))
-
-    def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path: str, n: int, p: int) -> "ShadowSet":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read(), n, p)
-
-    def save_summary(self, path: str) -> None:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.summary_dict(), fh, sort_keys=True)
-            fh.write("\n")
-
-
 _SHADOW_CHUNK = 4096
 
 
@@ -193,8 +115,12 @@ def _cycle_boundary(Y: Complex) -> SparseIntMatrix:
     return B
 
 
-def shadow(Y: Complex, p: int) -> ShadowSet:
+def shadow(Y: Complex, p: int) -> TripleSet:
     """The F_p-shadow of Y over all C(n,3) triples.
+
+    A triple belongs to the shadow iff adding it leaves H_1(.; F_p)
+    unchanged, equivalently iff its boundary lies in the span of the
+    boundary columns of the existing faces.
 
     Membership is tested in cycle coordinates. Every boundary column and
     every triple boundary is a 1-cycle of the full 1-skeleton. The cones
@@ -228,17 +154,16 @@ def shadow(Y: Complex, p: int) -> ShadowSet:
     edge_b = np.repeat(v, v)
     edge_a = np.arange(edge_b.size, dtype=np.int64) - edge_b * (edge_b - 1) // 2
     bc, ac, ab = triangle_edge_ranks((edge_a[ab], edge_b[ab], c))
-    bits = 0
+    member = np.empty(total, dtype=bool)
     for start in range(0, total, _SHADOW_CHUNK):
         chunk = slice(start, start + _SHADOW_CHUNK)
         residual = R[:, bc[chunk]] - R[:, ac[chunk]] + R[:, ab[chunk]]
         residual %= p
-        member = ~residual.any(axis=0)
-        packed = np.packbits(member, bitorder="little").tobytes()
-        bits |= int.from_bytes(packed, "little") << start
-    return ShadowSet(n, p, bits)
+        member[chunk] = ~residual.any(axis=0)
+    return TripleSet.from_mask(n, member)
 
 
 def shadow_size_deficit(Y: Complex, p: int) -> int:
     """C(n,3) minus the shadow size; zero iff H_1(Y; F_p) = 0."""
-    return shadow(Y, p).deficit
+    sh = shadow(Y, p)
+    return sh.total - sh.size

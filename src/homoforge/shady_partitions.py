@@ -1,9 +1,12 @@
 """Good/bad triple labelings and the deterministic badness machinery.
 
-A labeling marks every triple of [0, n) good or bad. Badness cascades to
-edges (too many bad triples through an edge) and vertices (too many bad
-edges), with explicit thresholds: the asymptotic iterated-log thresholds
-are undefined at any feasible n, so every consumer takes concrete values.
+A labeling marks every triple of [0, n) good or bad; it is given by its bad
+side, a complexes.TripleSet (the complement of a shadow, for instance).
+Badness cascades to edges (too many bad triples through an edge) and
+vertices (too many bad edges), with explicit thresholds: the asymptotic
+iterated-log thresholds are undefined at any feasible n, so every consumer
+takes concrete values. A labels file is one JSON header line
+{"count_bad", "n"}, then the bad set's payload (see save_labels).
 """
 
 from __future__ import annotations
@@ -11,18 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .complexes import (
-    Complex,
-    face_edges,
-    iter_set_bits,
-    json_int_field,
-    rank_triple,
-    triple_bits_from_bytes,
-    unrank_triple,
-)
-from .homology import ShadowSet
+from .complexes import Complex, TripleSet, face_edges, json_int_field
 
 
 @dataclass(frozen=True)
@@ -56,78 +49,29 @@ class Thresholds:
         }
 
 
-class PartitionLabels:
-    """A good/bad partition of all C(n,3) triples, bad side stored as a bitset."""
+def save_labels(bad: TripleSet, path: str) -> None:
+    """Write the bad side of a partition as a labels file."""
+    if bad.n < 3:
+        raise ValueError(f"need n >= 3, got {bad.n}")
+    header = json.dumps({"n": bad.n, "count_bad": bad.size}, sort_keys=True)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n" + bad.payload())
 
-    __slots__ = ("n", "_bad")
 
-    def __init__(self, n: int, bad_bits: int = 0):
-        if n < 3:
-            raise ValueError(f"need n >= 3, got {n}")
-        self.n = n
-        self._bad = bad_bits
-
-    @classmethod
-    def from_bad_triples(cls, n: int, bad: Iterable[Sequence[int]]) -> "PartitionLabels":
-        bits = 0
-        for t in bad:
-            bits |= 1 << rank_triple(tuple(sorted(t)), n)
-        return cls(n, bits)
-
-    @classmethod
-    def from_shadow_complement(cls, sh: ShadowSet) -> "PartitionLabels":
-        """Bad = triples outside the shadow (the shadow members are good)."""
-        full = (1 << math.comb(sh.n, 3)) - 1
-        return cls(sh.n, full & ~sh.bits)
-
-    @property
-    def total(self) -> int:
-        return math.comb(self.n, 3)
-
-    @property
-    def count_bad(self) -> int:
-        return self._bad.bit_count()
-
-    def is_bad_rank(self, r: int) -> bool:
-        return bool(self._bad >> r & 1)
-
-    def is_bad(self, t: Sequence[int]) -> bool:
-        return self.is_bad_rank(rank_triple(tuple(sorted(t)), self.n))
-
-    def is_good(self, t: Sequence[int]) -> bool:
-        return not self.is_bad(t)
-
-    def bad_ranks(self):
-        return iter_set_bits(self._bad)
-
-    def bad_triples(self):
-        for r in self.bad_ranks():
-            yield unrank_triple(r, self.n)
-
-    def well_formed_for(self, Y: Complex) -> bool:
-        """No face of Y may be labeled bad."""
-        return all(not self.is_bad(f) for f in Y.faces)
-
-    # -- file format: one JSON header line {n, count_bad}, then the raw bitset
-
-    def save(self, path: str) -> None:
-        header = json.dumps({"n": self.n, "count_bad": self.count_bad}, sort_keys=True)
-        payload = self._bad.to_bytes((self.total + 7) // 8, "little")
-        with open(path, "wb") as fh:
-            fh.write(header.encode() + b"\n" + payload)
-
-    @classmethod
-    def load(cls, path: str) -> "PartitionLabels":
-        with open(path, "rb") as fh:
-            header_line = fh.readline()
-            payload = fh.read()
-        header = json.loads(header_line.decode())
-        n = json_int_field(header, "n", "labels header")
-        count_bad = json_int_field(header, "count_bad", "labels header")
-        labels = cls(n, triple_bits_from_bytes(payload, n))
-        if labels.count_bad != count_bad:
-            raise ValueError("labels header count_bad does not match payload")
-        return labels
+def load_labels(path: str) -> TripleSet:
+    """The bad side stored in a labels file; ValueError if it is malformed."""
+    with open(path, "rb") as fh:
+        header_line = fh.readline()
+        payload = fh.read()
+    header = json.loads(header_line.decode())
+    n = json_int_field(header, "n", "labels header")
+    count_bad = json_int_field(header, "count_bad", "labels header")
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    bad = TripleSet.from_payload(payload, n)
+    if bad.size != count_bad:
+        raise ValueError("labels header count_bad does not match payload")
+    return bad
 
 
 @dataclass(frozen=True)
@@ -138,14 +82,14 @@ class CascadeResult:
     bad_vertices: frozenset[int]
 
 
-def cascade(L: PartitionLabels, T: Thresholds) -> CascadeResult:
+def cascade(bad: TripleSet, T: Thresholds) -> CascadeResult:
     """Extend triple badness to edges and vertices by exact counting.
 
     An edge is bad iff it lies in more than theta_edge bad triples; a
     vertex is bad iff it lies in more than theta_vertex bad edges.
     """
     edge_counts: dict[tuple[int, int], int] = {}
-    for t in L.bad_triples():
+    for t in bad.triples():
         for e in face_edges(t):
             edge_counts[e] = edge_counts.get(e, 0) + 1
     bad_edges = frozenset(e for e, c in edge_counts.items() if c > T.theta_edge)
@@ -157,16 +101,14 @@ def cascade(L: PartitionLabels, T: Thresholds) -> CascadeResult:
     return CascadeResult(bad_edges=bad_edges, bad_vertices=bad_vertices)
 
 
-def _has_good_cone(L: PartitionLabels, t: tuple[int, int, int]) -> bool:
+def _has_good_cone(bad: TripleSet, t: tuple[int, int, int]) -> bool:
     """Some apex v outside t with all three cone triangles over t good."""
     x, y, z = t
-    for v in range(L.n):
+    for v in range(bad.n):
         if v in t:
             continue
-        if (
-            L.is_good(tuple(sorted((x, y, v))))
-            and L.is_good(tuple(sorted((x, z, v))))
-            and L.is_good(tuple(sorted((y, z, v))))
+        if not (
+            bad.contains((x, y, v)) or bad.contains((x, z, v)) or bad.contains((y, z, v))
         ):
             return True
     return False
@@ -208,21 +150,21 @@ class ShadyReport:
         }
 
 
-def verify_shady(Y: Complex, L: PartitionLabels, T: Thresholds) -> ShadyReport:
-    """Check a labeling: faces good, bad-triple budget, cone closure."""
+def verify_shady(Y: Complex, bad: TripleSet, T: Thresholds) -> ShadyReport:
+    """Check the bad side of a labeling: faces good, bad-triple budget, cone closure."""
     if Y.dim != 2:
         raise ValueError("verify_shady requires a 2-dimensional complex")
-    if Y.n != L.n:
-        raise ValueError(f"complex has n={Y.n} but labels have n={L.n}")
-    faces_good = L.well_formed_for(Y)
-    within_budget = L.count_bad <= T.max_bad_triples
-    cone_closed = all(not _has_good_cone(L, t) for t in L.bad_triples())
-    casc = cascade(L, T)
+    if Y.n != bad.n:
+        raise ValueError(f"complex has n={Y.n} but labels have n={bad.n}")
+    faces_good = not any(bad.contains(f) for f in Y.faces)
+    within_budget = bad.size <= T.max_bad_triples
+    cone_closed = all(not _has_good_cone(bad, t) for t in bad.triples())
+    casc = cascade(bad, T)
     return ShadyReport(
         faces_all_good=faces_good,
         bad_count_within_budget=within_budget,
         cone_closed=cone_closed,
-        bad_triples=L.count_bad,
+        bad_triples=bad.size,
         bad_edges=len(casc.bad_edges),
         bad_vertices=len(casc.bad_vertices),
         thresholds=T,

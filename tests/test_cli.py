@@ -1,17 +1,25 @@
+import hashlib
 import json
 import math
 
+import pytest
+
 from homoforge.cli import main
-from homoforge.complexes import Complex, load_complex, save_complex
+from homoforge.complexes import Complex, TripleSet, load_complex, save_complex
 from homoforge.exact_linalg import SparseIntMatrix, write_matrix_file
 from homoforge.homology import shadow
-from homoforge.shady_partitions import PartitionLabels
+from homoforge.shady_partitions import save_labels
 
 
 def write_complex(tmp_path, Y, name="y.json"):
     path = tmp_path / name
     save_complex(Y, str(path))
     return str(path)
+
+
+def pinned_complex(rp2):
+    return Complex(9, 2, list(rp2.faces)
+                   + [(0, 6, 7), (1, 7, 8), (2, 6, 8), (3, 4, 8), (5, 6, 7)])
 
 
 def matrix_file(tmp_path, dense, name="m.txt"):
@@ -142,18 +150,45 @@ class TestShadowCmd:
         assert main(["shadow", "--in", path, "--prime", "2", "--out", str(out)]) == 0
         summary = json.loads((tmp_path / "sh.json").read_text())
         assert summary == {"n": 5, "p": 2, "size": 10, "deficit": 0}
-        from homoforge.homology import ShadowSet
+        back = TripleSet.from_bytes((tmp_path / "sh.bits").read_bytes(), 5)
+        assert back.size == back.total == 10
 
-        back = ShadowSet.load(str(tmp_path / "sh.bits"), 5, 2)
-        assert back.deficit == 0
+    # RP^2 on vertices 0..5 plus five triangles through 6, 7, 8: its Z/2
+    # torsion makes the shadows at p = 2 and p = 3 differ
+    @pytest.mark.parametrize(
+        "prime, bits_digest, json_digest",
+        [
+            (2, "f620e5fdf13e86c5c504fee727f8ff7e036de8209fe0ea23b35c2233976b513a",
+             "9193adaf8c6ef8c3483923046db0df4aaf7fd6fdb1369e96603e951a12091ade"),
+            (3, "ccb55bcb1d2caf60717c4855687c287946d3bf3126ad0fafb08d44f32da9227c",
+             "60ac14dd3ebe0f1336a78950392ac58ce7034a8920dd0f4ac41014a138d6e208"),
+        ],
+    )
+    def test_pinned_out_files(self, tmp_path, capsys, rp2, prime, bits_digest,
+                              json_digest):
+        path = write_complex(tmp_path, pinned_complex(rp2))
+        out = tmp_path / "sh"
+        assert main(["shadow", "--in", path, "--prime", str(prime),
+                     "--out", str(out)]) == 0
+        for suffix, digest in ((".bits", bits_digest), (".json", json_digest)):
+            data = (tmp_path / f"sh{suffix}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, suffix
 
 
 class TestVerifyPartitionCmd:
+    def test_pinned_labels_file(self, tmp_path, rp2):
+        # bad = the complement of the p = 2 shadow of the pinned complex
+        lpath = tmp_path / "labels.bits"
+        save_labels(shadow(pinned_complex(rp2), 2).complement(), str(lpath))
+        assert hashlib.sha256(lpath.read_bytes()).hexdigest() == (
+            "f01e5862de4e645dabf21369c6a2788fac0a4a060e08d0209d26e76ab0dd224d"
+        )
+
     def test_complete_passes(self, tmp_path, capsys):
         Y = Complex(6, 2, [(0, 1, 2)])
         cpath = write_complex(tmp_path, Y)
         lpath = tmp_path / "labels.bits"
-        PartitionLabels(6).save(str(lpath))
+        save_labels(TripleSet(6), str(lpath))
         assert main(["verify-partition", "--in", cpath, "--labels", str(lpath)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["condII"] and doc["condIII"] and doc["condI_cone"]
@@ -162,7 +197,7 @@ class TestVerifyPartitionCmd:
         Y = Complex(6, 2, [(0, 1, 2)])
         cpath = write_complex(tmp_path, Y)
         lpath = tmp_path / "labels.bits"
-        PartitionLabels.from_bad_triples(6, [(0, 1, 2)]).save(str(lpath))
+        save_labels(TripleSet.of(6, [(0, 1, 2)]), str(lpath))
         assert main(["verify-partition", "--in", cpath, "--labels", str(lpath)]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["condII"] is False
@@ -173,7 +208,7 @@ class TestVerifyPartitionCmd:
         Y = sample_binomial(7, 0.6, 3)
         cpath = write_complex(tmp_path, Y)
         lpath = tmp_path / "labels.bits"
-        PartitionLabels.from_shadow_complement(shadow(Y, 2)).save(str(lpath))
+        save_labels(shadow(Y, 2).complement(), str(lpath))
         code = main(
             ["verify-partition", "--in", cpath, "--labels", str(lpath),
              "--max-bad", str(math.comb(7, 3))]
@@ -200,7 +235,7 @@ class TestVerifyPartitionCmd:
     def test_size_mismatch(self, tmp_path, capsys):
         cpath = write_complex(tmp_path, Complex(6))
         lpath = tmp_path / "labels.bits"
-        PartitionLabels(7).save(str(lpath))
+        save_labels(TripleSet(7), str(lpath))
         assert main(["verify-partition", "--in", cpath, "--labels", str(lpath)]) == 2
 
 
@@ -285,10 +320,15 @@ class TestCampaignCmds:
         trace_header = (tmp_path / "ts_trace.csv").read_text().splitlines()[0]
         assert trace_header == "seed,step,metric,value"
 
-    def test_jobs_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("HOMOFORGE_JOBS", "2")
-        code = main(["hitting-time", "--n", "5", "--trials", "2", "--seed", "0"])
-        assert code == 0
+    def test_jobs_two_matches_one(self, capsys):
+        outputs = []
+        for jobs in ("1", "2"):
+            code = main(["hitting-time", "--n", "6", "--trials", "4", "--seed", "0",
+                         "--jobs", jobs])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 6  # header, 4 rows, summary
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

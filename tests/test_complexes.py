@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,13 +10,13 @@ from homoforge.complexes import (
     MAX_VERTICES,
     Complex,
     ProcessStream,
+    TripleSet,
+    _unrank,
+    colex_table,
     complex_from_json,
     complex_from_text,
     complex_to_json,
     complex_to_text,
-    edges_colex,
-    min_edge_degree,
-    rank_edge,
     rank_face,
     rank_triple,
     sample_binomial,
@@ -24,7 +24,6 @@ from homoforge.complexes import (
     triples_colex,
     uncovered_edges,
     unrank_edge,
-    unrank_face,
     unrank_triple,
 )
 
@@ -76,19 +75,21 @@ class TestRanking:
 
     def test_edge_ranking(self):
         for n in (3, 6, 10):
-            for r, e in enumerate(edges_colex(n)):
-                assert rank_edge(e) == r
+            expected = sorted(combinations(range(n), 2), key=lambda e: e[::-1])
+            for r, e in enumerate(expected):
                 assert unrank_edge(r) == e
+                assert rank_face(e) == r
         last = math.comb(2000, 2) - 1
         for r, e in [(0, (0, 1)), (1, (0, 2)), (last - 1, (1997, 1999)),
                      (last, (1998, 1999))]:
             assert unrank_edge(r) == e
-            assert rank_edge(e) == r
+            assert rank_face(e) == r
 
     def test_general_face_round_trip(self):
         for k in (2, 3, 4):
+            table = colex_table(8, k)
             for r in range(math.comb(8, k)):
-                assert rank_face(unrank_face(r, k)) == r
+                assert rank_face(_unrank(r, table)) == r
 
     @settings(max_examples=300, deadline=None)
     @given(kr=RANKED_FACES)
@@ -100,7 +101,7 @@ class TestRanking:
     @example(kr=(4, math.comb(MAX_VERTICES, 4) - 1))
     def test_unrank_round_trip_up_to_max_vertices(self, kr):
         k, r = kr
-        face = unrank_face(r, k)
+        face = _unrank(r, colex_table(MAX_VERTICES, k))
         assert len(face) == k
         assert all(u < v for u, v in zip(face, face[1:]))
         assert rank_face(face) == r
@@ -109,12 +110,35 @@ class TestRanking:
         if r == math.comb(MAX_VERTICES, k) - 1:
             assert face == tuple(range(MAX_VERTICES - k, MAX_VERTICES))
 
-    def test_unrank_face_rejects_out_of_range(self):
-        for k in (1, 2, 3, 4):
+    def test_unrank_triple_rejects_out_of_range(self):
+        for n in (3, 7, MAX_VERTICES):
             with pytest.raises(ValueError):
-                unrank_face(-1, k)
+                unrank_triple(-1, n)
             with pytest.raises(ValueError):
-                unrank_face(math.comb(MAX_VERTICES, k), k)
+                unrank_triple(math.comb(n, 3), n)
+
+
+class TestTripleSet:
+    def test_contains_any_vertex_order(self):
+        ts = TripleSet.of(6, [(4, 0, 2), (1, 2, 3)])
+        assert ts.size == 2
+        for t in permutations((0, 2, 4)):
+            assert ts.contains(t)
+        assert not ts.contains((5, 1, 0))
+        assert list(ts.triples()) == [(1, 2, 3), (0, 2, 4)]
+
+    @pytest.mark.parametrize("t", [(0, 0, 1), (1, 1, 1), (0, 1, 6), (-1, 0, 1), (0, 1)])
+    def test_contains_rejects_invalid_triple(self, t):
+        with pytest.raises(ValueError):
+            TripleSet(6).contains(t)
+        with pytest.raises(ValueError):
+            TripleSet.of(6, [t])
+
+    def test_complement(self):
+        ts = TripleSet.of(5, [(0, 1, 2)])
+        assert ts.complement().size == 9
+        assert not ts.complement().contains((0, 1, 2))
+        assert ts.complement().complement().bits == ts.bits
 
 
 class TestComplex:
@@ -131,7 +155,7 @@ class TestComplex:
             bumped = [i for i in range(len(after)) if after[i] != before[i]]
             assert len(bumped) == 3
             assert all(after[i] == before[i] + 1 for i in bumped)
-            delta = min_edge_degree(Y)
+            delta = min(Y.edge_cover_count)
             assert delta >= prev_delta
             prev_delta = delta
 
@@ -141,10 +165,10 @@ class TestComplex:
         assert not Y.add_face((0, 1, 2))
         assert Y.num_faces == 1
 
-    def test_min_edge_degree_examples(self):
-        assert min_edge_degree(Complex(3, 2, [(0, 1, 2)])) == 1
-        assert min_edge_degree(Complex(4, 2, [(0, 1, 2)])) == 0
-        assert min_edge_degree(Complex.full(4)) == 2  # each edge in n-2 triangles
+    def test_edge_cover_count_examples(self):
+        assert Complex(3, 2, [(0, 1, 2)]).edge_cover_count == [1, 1, 1]
+        assert Complex(4, 2, [(0, 1, 2)]).edge_cover_count == [1, 1, 1, 0, 0, 0]
+        assert set(Complex.full(4).edge_cover_count) == {2}  # each edge in n-2 triangles
 
     def test_uncovered_edges_examples(self):
         Y = Complex(4, 2, [(0, 1, 2)])
@@ -153,12 +177,12 @@ class TestComplex:
 
     def test_rp2_has_no_uncovered_edges(self, rp2):
         assert uncovered_edges(rp2) == []
-        assert min_edge_degree(rp2) == 2
+        assert set(rp2.edge_cover_count) == {2}
 
     def test_dim_guard(self):
         Y = Complex(5, dim=3)
         with pytest.raises(ValueError):
-            min_edge_degree(Y)
+            uncovered_edges(Y)
 
     def test_face_validation(self):
         Y = Complex(4)

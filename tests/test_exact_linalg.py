@@ -15,7 +15,6 @@ from conftest import rank_mod_p_oracle, rank_over_Q, random_complex
 from homoforge.complexes import (
     Complex,
     ProcessStream,
-    edges_colex,
     sample_binomial,
     uncovered_edges,
 )
@@ -199,7 +198,7 @@ class TestBoundaryMatrix:
             d2 = np.array(boundary_matrix(Y).to_dense(), dtype=np.int64).reshape(
                 math.comb(Y.n, 2), -1
             )
-            edges = Complex(Y.n, 1, edges_colex(Y.n))
+            edges = Complex(Y.n, 1, combinations(range(Y.n), 2))
             d1 = np.array(boundary_matrix(edges).to_dense(), dtype=np.int64)
             assert not (d1 @ d2).any()
 

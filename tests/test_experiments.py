@@ -177,6 +177,15 @@ class TestTorsionScan:
         with pytest.raises(ValueError, match="guideline"):
             torsion_scan(40, 2, stride=5, seed=0)
 
+    @pytest.mark.parametrize("d, n_max", [(2, 29), (3, 15)])
+    def test_feasibility_guard_boundary(self, d, n_max):
+        # the largest n both caps admit runs; one more is refused with that n
+        total = math.comb(n_max, d + 1)
+        tr = torsion_scan(n_max, d, stride=total, seed=0)
+        assert [s for s, _, _ in tr.samples] == [0, total]
+        with pytest.raises(ValueError, match=f"guideline: n <= {n_max} for d = {d}"):
+            torsion_scan(n_max + 1, d, stride=5, seed=0)
+
     def test_d_validated(self):
         with pytest.raises(ValueError):
             torsion_scan(8, 1, stride=5, seed=0)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from itertools import combinations
@@ -8,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rank_over_Q, random_complex, shadow_oracle
+from homoforge.cli import main
 from homoforge.complexes import (
     Complex,
+    TripleSet,
     sample_binomial,
     sample_fixed_size,
+    save_complex,
     triples_colex,
     uncovered_edges,
 )
@@ -23,7 +27,6 @@ from homoforge.exact_linalg import (
 )
 from homoforge.homology import (
     HomologySummary,
-    ShadowSet,
     _cycle_boundary,
     betti1_mod_p,
     cycle_space_dim,
@@ -148,7 +151,7 @@ class TestTriviality:
             if is_H1_trivial_Z(Y):
                 for p in (2, 3, 5):
                     assert betti1_mod_p(Y, p) == 0
-                    assert shadow(Y, p).deficit == 0
+                    assert shadow_size_deficit(Y, p) == 0
 
     def test_obstruction_on_samples(self):
         rng = random.Random(4)
@@ -175,7 +178,7 @@ class TestShadow:
     def test_full_complex_shadow_is_everything(self):
         sh = shadow(Complex.full(6), 2)
         assert sh.size == sh.total == math.comb(6, 3)
-        assert sh.deficit == 0
+        assert shadow_size_deficit(Complex.full(6), 2) == 0
 
     def test_empty_complex_shadow_is_empty(self):
         # adding any triple to the empty complex kills one homology class
@@ -217,7 +220,7 @@ class TestShadow:
     )
     def test_matches_null_space_oracle(self, n, num_faces, seed, p):
         Y = random_complex(n, num_faces, random.Random(seed))
-        assert set(shadow(Y, p).members()) == shadow_oracle(Y, p)
+        assert set(shadow(Y, p).triples()) == shadow_oracle(Y, p)
 
     # unreduced sums of int64 products below p^2 would wrap in the quotient
     # map at (19, 118)
@@ -225,7 +228,7 @@ class TestShadow:
     def test_matches_null_space_oracle_at_largest_prime(self, n, num_faces):
         p = 2**31 - 1
         Y = sample_fixed_size(n, num_faces, 1)
-        assert set(shadow(Y, p).members()) == shadow_oracle(Y, p)
+        assert set(shadow(Y, p).triples()) == shadow_oracle(Y, p)
 
     def test_cone_closure(self):
         # a triple whose three cone triangles over some apex are members
@@ -301,47 +304,56 @@ class TestShadowSerialization:
     def test_bytes_round_trip(self):
         Y = sample_binomial(7, 0.4, 5)
         sh = shadow(Y, 3)
-        back = ShadowSet.from_bytes(sh.to_bytes(), sh.n, sh.p)
+        back = TripleSet.from_bytes(sh.to_bytes(), sh.n)
         assert back.size == sh.size
-        assert list(back.member_ranks()) == list(sh.member_ranks())
+        assert list(back.ranks()) == list(sh.ranks())
 
     def test_file_round_trip(self, tmp_path):
-        sh = shadow(sample_binomial(6, 0.5, 8), 2)
-        path = tmp_path / "s.bits"
-        sh.save(str(path))
-        back = ShadowSet.load(str(path), sh.n, sh.p)
-        assert back.summary_dict() == sh.summary_dict()
+        # the CLI's shadow --out writes <out>.bits and its <out>.json summary
+        Y = sample_binomial(6, 0.5, 8)
+        sh = shadow(Y, 2)
+        complex_path = tmp_path / "y.json"
+        save_complex(Y, str(complex_path))
+        out = tmp_path / "s"
+        assert main(["shadow", "--in", str(complex_path), "--prime", "2",
+                     "--out", str(out)]) == 0
+        back = TripleSet.from_bytes((tmp_path / "s.bits").read_bytes(), 6)
+        assert back.bits == sh.bits
+        summary = json.loads((tmp_path / "s.json").read_text())
+        assert summary == {"n": 6, "p": 2, "size": sh.size, "deficit": 20 - sh.size}
 
     def test_length_prefix(self):
         sh = shadow(Complex(6), 2)
         raw = sh.to_bytes()
         assert int.from_bytes(raw[:8], "little") == math.comb(6, 3)
         with pytest.raises(ValueError):
-            ShadowSet.from_bytes(raw, 7, 2)
+            TripleSet.from_bytes(raw, 7)
 
     @pytest.mark.parametrize(
         "data",
         [
-            ShadowSet(5, 2, 2**10 - 1).to_bytes()[:-1],  # truncated payload
-            ShadowSet(5, 2, 2**10 - 1).to_bytes() + b"\x00",  # trailing byte
-            ShadowSet(5, 2).to_bytes()[:8] + b"\xff\xff",  # 16 bits of 10
+            TripleSet(5, 2**10 - 1).to_bytes()[:-1],  # truncated payload
+            TripleSet(5, 2**10 - 1).to_bytes() + b"\x00",  # trailing byte
+            TripleSet(5).to_bytes()[:8] + b"\xff\xff",  # 16 bits of 10
         ],
         ids=["truncated", "trailing", "past_total"],
     )
     def test_malformed_payload_rejected(self, data):
         with pytest.raises(ValueError):
-            ShadowSet.from_bytes(data, 5, 2)
+            TripleSet.from_bytes(data, 5)
 
     def test_full_bitset_round_trip(self):
-        sh = ShadowSet(5, 2, 2**10 - 1)
-        assert ShadowSet.from_bytes(sh.to_bytes(), 5, 2).size == 10
+        sh = TripleSet(5, 2**10 - 1)
+        assert TripleSet.from_bytes(sh.to_bytes(), 5).size == 10
 
     def test_summary_fields(self):
+        # the CLI's <out>.json reads these; TestShadowCmd::test_out_files pins it
         sh = shadow(Complex.full(5), 2)
-        assert sh.summary_dict() == {"n": 5, "p": 2, "size": 10, "deficit": 0}
+        assert (sh.n, sh.size, sh.total) == (5, 10, 10)
+        assert shadow_size_deficit(Complex.full(5), 2) == 0
 
     def test_members_enumeration(self):
         Y = Complex(4, 2, [(0, 1, 3), (0, 2, 3), (1, 2, 3)])
         sh = shadow(Y, 2)
-        members = set(sh.members())
+        members = set(sh.triples())
         assert members == set(combinations(range(4), 3))

@@ -4,14 +4,17 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_complex
-from homoforge.complexes import Complex, sample_binomial
+from homoforge.complexes import Complex, TripleSet, sample_binomial
 from homoforge.homology import shadow
 from homoforge.shady_partitions import (
-    PartitionLabels,
     Thresholds,
     cascade,
+    load_labels,
+    save_labels,
     verify_shady,
 )
 
@@ -24,7 +27,7 @@ def brute_force_cascade(L, T):
         count = sum(
             1
             for t in combinations(range(n), 3)
-            if set(e) <= set(t) and L.is_bad(t)
+            if set(e) <= set(t) and L.contains(t)
         )
         if count > T.theta_edge:
             bad_edges.add(e)
@@ -53,13 +56,13 @@ class TestThresholds:
 
 class TestCascade:
     def test_no_bad_triples(self):
-        L = PartitionLabels(8)
+        L = TripleSet(8)
         c = cascade(L, Thresholds.defaults(8))
         assert c.bad_edges == frozenset() and c.bad_vertices == frozenset()
 
     def test_everything_bad(self):
         n = 8
-        L = PartitionLabels.from_bad_triples(n, combinations(range(n), 3))
+        L = TripleSet.of(n, combinations(range(n), 3))
         T = Thresholds(theta_edge=n - 3, theta_vertex=n - 2, max_bad_triples=1)
         c = cascade(L, T)
         # each edge lies in n-2 > theta_edge bad triples, each vertex in n-1 bad edges
@@ -69,7 +72,7 @@ class TestCascade:
     def test_single_loaded_edge_against_recount(self):
         n = 8
         bad = [t for t in combinations(range(n), 3) if {1, 2} <= set(t)]
-        L = PartitionLabels.from_bad_triples(n, bad)
+        L = TripleSet.of(n, bad)
         T = Thresholds(theta_edge=3, theta_vertex=4, max_bad_triples=100)
         c = cascade(L, T)
         assert (1, 2) in c.bad_edges
@@ -83,7 +86,7 @@ class TestCascade:
         all_triples = list(combinations(range(n), 3))
         for _ in range(8):
             bad = rng.sample(all_triples, rng.randint(0, len(all_triples)))
-            L = PartitionLabels.from_bad_triples(n, bad)
+            L = TripleSet.of(n, bad)
             T = Thresholds(
                 theta_edge=rng.randint(1, 4),
                 theta_vertex=rng.randint(1, 4),
@@ -104,7 +107,7 @@ class TestCascade:
         prev_edges, prev_vertices = frozenset(), frozenset()
         for r in ranks:
             bits |= 1 << r  # grow the bad set one triple at a time
-            c = cascade(PartitionLabels(n, bits), T)
+            c = cascade(TripleSet(n, bits), T)
             assert prev_edges <= c.bad_edges
             assert prev_vertices <= c.bad_vertices
             prev_edges, prev_vertices = c.bad_edges, c.bad_vertices
@@ -113,12 +116,12 @@ class TestCascade:
 class TestElementaryComplete:
     def test_completeness(self):
         # a partition is complete iff it labels no triple bad
-        assert PartitionLabels(6).count_bad == 0
-        assert PartitionLabels.from_bad_triples(6, [(0, 1, 2)]).count_bad == 1
+        assert TripleSet(6).size == 0
+        assert TripleSet.of(6, [(0, 1, 2)]).size == 1
 
     def test_shadow_of_full_complex_is_complete(self):
         sh = shadow(Complex.full(6), 2)
-        assert PartitionLabels.from_shadow_complement(sh).count_bad == 0
+        assert sh.complement().size == 0
 
 
 class TestVerifyShady:
@@ -127,7 +130,7 @@ class TestVerifyShady:
         for _ in range(6):
             Y = random_complex(7, rng.randint(1, 20), rng)
             for p in (2, 3):
-                L = PartitionLabels.from_shadow_complement(shadow(Y, p))
+                L = shadow(Y, p).complement()
                 T = Thresholds(theta_edge=2, theta_vertex=2,
                                max_bad_triples=math.comb(7, 3))
                 report = verify_shady(Y, L, T)
@@ -138,31 +141,30 @@ class TestVerifyShady:
 
     def test_bad_face_fails_condition(self):
         Y = Complex(6, 2, [(0, 1, 2)])
-        L = PartitionLabels.from_bad_triples(6, [(0, 1, 2)])
+        L = TripleSet.of(6, [(0, 1, 2)])
         report = verify_shady(Y, L, Thresholds.defaults(6))
         assert not report.faces_all_good
         assert not report.passed
-        assert not L.well_formed_for(Y)
 
     def test_lone_bad_triple_fails_cone_closure(self):
         Y = Complex(6)
-        L = PartitionLabels.from_bad_triples(6, [(0, 1, 2)])
+        L = TripleSet.of(6, [(0, 1, 2)])
         report = verify_shady(Y, L, Thresholds.defaults(6))
         assert not report.cone_closed  # every apex gives an all-good cone
 
     def test_budget_violation(self):
         n = 6
-        L = PartitionLabels.from_bad_triples(n, combinations(range(n), 3))
+        L = TripleSet.of(n, combinations(range(n), 3))
         T = Thresholds(theta_edge=1, theta_vertex=1, max_bad_triples=3)
         report = verify_shady(Complex(n), L, T)
         assert not report.bad_count_within_budget
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            verify_shady(Complex(6), PartitionLabels(7), Thresholds.defaults(6))
+            verify_shady(Complex(6), TripleSet(7), Thresholds.defaults(6))
 
     def test_report_json_schema(self):
-        report = verify_shady(Complex(6), PartitionLabels(6), Thresholds.defaults(6))
+        report = verify_shady(Complex(6), TripleSet(6), Thresholds.defaults(6))
         doc = report.to_json_dict()
         assert set(doc) >= {"condII", "condIII", "condI_cone", "bad_counts", "thresholds"}
         assert set(doc["bad_counts"]) == {"triples", "edges", "vertices"}
@@ -174,7 +176,7 @@ class TestClaimThreeGoodEdges:
     """A bad triple with three good edges and an all-good cone breaks cone closure."""
 
     def test_complete_partition_no_violations(self):
-        L = PartitionLabels(7)
+        L = TripleSet(7)
         T = Thresholds.defaults(7)
         c = cascade(L, T)
         assert c.bad_edges == frozenset() and c.bad_vertices == frozenset()
@@ -183,7 +185,7 @@ class TestClaimThreeGoodEdges:
     def test_all_bad_no_violations(self):
         # with every triple bad, every edge and vertex is bad and no cone is good
         n = 7
-        L = PartitionLabels.from_bad_triples(n, combinations(range(n), 3))
+        L = TripleSet.of(n, combinations(range(n), 3))
         T = Thresholds(theta_edge=1, theta_vertex=1, max_bad_triples=10**6)
         c = cascade(L, T)
         assert c.bad_edges == frozenset(combinations(range(n), 2))
@@ -194,7 +196,7 @@ class TestClaimThreeGoodEdges:
         # one bad triple, everything else good: its edges are good and
         # any apex gives a good cone
         n = 6
-        L = PartitionLabels.from_bad_triples(n, [(0, 1, 2)])
+        L = TripleSet.of(n, [(0, 1, 2)])
         T = Thresholds.defaults(n)
         assert cascade(L, T).bad_edges == frozenset()
         report = verify_shady(Complex(n), L, T)
@@ -202,7 +204,7 @@ class TestClaimThreeGoodEdges:
 
     def test_shadow_labels_smoke(self):
         Y = sample_binomial(10, 2 * math.log(10) / 10, seed=2)
-        L = PartitionLabels.from_shadow_complement(shadow(Y, 2))
+        L = shadow(Y, 2).complement()
         T = Thresholds.defaults(10)
         # shadows satisfy cone closure, so no bad triple has a good cone
         report = verify_shady(Y, L, T)
@@ -271,22 +273,22 @@ class TestLabelsIO:
         rng = random.Random(1)
         n = 8
         bad = rng.sample(list(combinations(range(n), 3)), 20)
-        L = PartitionLabels.from_bad_triples(n, bad)
+        L = TripleSet.of(n, bad)
         path = tmp_path / "labels.bits"
-        L.save(str(path))
-        back = PartitionLabels.load(str(path))
+        save_labels(L, str(path))
+        back = load_labels(str(path))
         assert back.n == n
-        assert back.count_bad == 20
-        assert set(back.bad_triples()) == set(bad)
+        assert back.size == 20
+        assert set(back.triples()) == set(bad)
 
     def test_header_mismatch_detected(self, tmp_path):
-        L = PartitionLabels.from_bad_triples(6, [(0, 1, 2)])
+        L = TripleSet.of(6, [(0, 1, 2)])
         path = tmp_path / "labels.bits"
-        L.save(str(path))
+        save_labels(L, str(path))
         raw = path.read_bytes()
         path.write_bytes(raw[:-1])  # truncate payload
         with pytest.raises(ValueError):
-            PartitionLabels.load(str(path))
+            load_labels(str(path))
 
     def test_bit_past_last_triple_rejected(self, tmp_path):
         # 11 bad triples claimed and set, but C(5,3) = 10 triples exist
@@ -294,9 +296,40 @@ class TestLabelsIO:
         header = json.dumps({"n": 5, "count_bad": 11}).encode()
         path.write_bytes(header + b"\n" + b"\xff\x07")
         with pytest.raises(ValueError, match="rank 10"):
-            PartitionLabels.load(str(path))
+            load_labels(str(path))
 
     def test_full_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.bits"
-        PartitionLabels(5, 2**10 - 1).save(str(path))
-        assert PartitionLabels.load(str(path)).count_bad == 10
+        save_labels(TripleSet(5, 2**10 - 1), str(path))
+        assert load_labels(str(path)).size == 10
+
+    def test_fewer_than_three_vertices_refused(self, tmp_path):
+        path = tmp_path / "labels.bits"
+        path.write_bytes(json.dumps({"n": 2, "count_bad": 0}).encode() + b"\n")
+        with pytest.raises(ValueError, match="n >= 3"):
+            load_labels(str(path))
+        with pytest.raises(ValueError, match="n >= 3"):
+            save_labels(TripleSet(2), str(path))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_both_formats_round_trip_and_reject_bits_past_total(self, tmp_path, data):
+        n = data.draw(st.integers(3, 9))
+        total = math.comb(n, 3)
+        ts = TripleSet(n, data.draw(st.integers(0, 2**total - 1)))
+        path = tmp_path / "labels.bits"
+        save_labels(ts, str(path))
+        for back in (TripleSet.from_bytes(ts.to_bytes(), n), load_labels(str(path))):
+            assert (back.n, back.bits) == (ts.n, ts.bits)
+        # a bit at or past C(n,3): a padding bit, or one byte too many
+        nbytes = (total + 7) // 8
+        k = data.draw(st.integers(total, max(total, 8 * nbytes - 1)))
+        bits = ts.bits | 1 << k
+        payload = bits.to_bytes(max(nbytes, k // 8 + 1), "little")
+        with pytest.raises(ValueError):
+            TripleSet.from_bytes(total.to_bytes(8, "little") + payload, n)
+        header = json.dumps({"n": n, "count_bad": bits.bit_count()}).encode()
+        path.write_bytes(header + b"\n" + payload)
+        with pytest.raises(ValueError):
+            load_labels(str(path))
