@@ -5,6 +5,11 @@ form, partition verification, and the Monte Carlo campaigns. Every
 randomized subcommand requires an explicit --seed so published numbers
 are reproducible. Exit codes: 0 success, 1 runtime failure, 2 usage or
 parse error.
+
+The campaign subcommands, their help and their options come from
+experiments.CAMPAIGN_KINDS. A campaign option, like a verify-partition
+threshold, stores into the CampaignConfig (or Thresholds) field named by its
+dest, and one left out keeps the field's default.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 
 from . import experiments
 from .complexes import load_complex, save_complex, uncovered_edges
@@ -57,48 +63,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-partition", help="check a good/bad labeling against a complex")
     p.add_argument("--in", dest="infile", required=True, help="complex file")
     p.add_argument("--labels", required=True, help="labels bitset file")
-    p.add_argument("--theta-edge", type=int)
-    p.add_argument("--theta-vertex", type=int)
-    p.add_argument("--max-bad", type=int)
+    p.add_argument("--theta-edge", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--theta-vertex", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-bad", dest="max_bad_triples", metavar="MAX_BAD", type=int,
+                   default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify_partition)
 
-    for kind in experiments.CAMPAIGN_KINDS:
-        help_text, options = _CAMPAIGN_COMMANDS[kind]
-        p = sub.add_parser(kind.replace("_", "-"), help=help_text)
-        _campaign_args(p)
-        for flags, kwargs in options:
+    for kind, spec in experiments.CAMPAIGN_KINDS.items():
+        p = sub.add_parser(kind.replace("_", "-"), help=spec.help)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--trials", type=int, required=True)
+        p.add_argument("--seed", dest="seed_base", metavar="SEED", type=int,
+                       required=True, help="base seed; trial i uses seed+i")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+        p.add_argument("--out", help="output prefix for <out>.csv and <out>.json")
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="stdout row format when --out is omitted")
+        for flags, kwargs in spec.options:
             p.add_argument(*flags, default=argparse.SUPPRESS, **kwargs)
         p.set_defaults(func=cmd_campaign, kind=kind)
 
     return parser
 
 
-# The help of each campaign subcommand and the options it adds to
-# _campaign_args, as (flags, add_argument keywords). An option that is not
-# given leaves its CampaignConfig field at the default.
-_CAMPAIGN_COMMANDS = {
-    "hitting_time": ("hitting-time campaign over seeded trials", []),
-    "shadow_growth": ("shadow deficit campaign at M = (ln n / n) C(n,3)",
-                      [(["--prime"], {"type": int})]),
-    "uncovered_rank": ("torsion-free rank vs uncovered edges campaign",
-                       [(["--p-scale"], {"type": float, "help": "p = p_scale * ln(n)/n"})]),
-    "torsion_scan": ("torsion burst scan of the d-dimensional process", [
-        (["--d"], {"type": int}),
-        (["--stride"], {"type": int}),
-        (["-v", "--verbose"], {"dest": "verbose_factors", "action": "store_true",
-                               "help": "record exact torsion factors"}),
-    ]),
-}
-
-
-def _campaign_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True, help="base seed; trial i uses seed+i")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    p.add_argument("--out", help="output prefix for <out>.csv and <out>.json")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="stdout row format when --out is omitted")
+def _given_fields(args: argparse.Namespace, cls: type) -> dict:
+    """The fields of dataclass cls that args holds, by name."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if f.name in args}
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -157,40 +147,14 @@ def cmd_shadow(args: argparse.Namespace) -> int:
 
 def cmd_verify_partition(args: argparse.Namespace) -> int:
     Y = load_complex(args.infile)
-    bad = load_labels(args.labels)
-    if Y.n != bad.n:
-        raise ValueError(f"complex n={Y.n} does not match labels n={bad.n}")
-    base = Thresholds.defaults(Y.n)
-    thresholds = Thresholds(
-        theta_edge=args.theta_edge if args.theta_edge is not None else base.theta_edge,
-        theta_vertex=(
-            args.theta_vertex if args.theta_vertex is not None else base.theta_vertex
-        ),
-        max_bad_triples=args.max_bad if args.max_bad is not None else base.max_bad_triples,
-    )
-    report = verify_shady(Y, bad, thresholds)
+    thresholds = replace(Thresholds.defaults(Y.n), **_given_fields(args, Thresholds))
+    report = verify_shady(Y, load_labels(args.labels), thresholds)
     print(json.dumps(report.to_json_dict(), sort_keys=True))
     return 0 if report.passed else 1
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    options = {
-        name: getattr(args, name)
-        for name in ("d", "stride", "p_scale", "verbose_factors")
-        if name in args
-    }
-    if "prime" in args:
-        options["primes"] = (args.prime,)
-    cfg = CampaignConfig(
-        kind=args.kind,
-        n=args.n,
-        trials=args.trials,
-        seed_base=args.seed,
-        jobs=args.jobs,
-        out=args.out,
-        **options,
-    )
-    report = run_campaign(cfg)
+    report = run_campaign(CampaignConfig(**_given_fields(args, CampaignConfig)))
     if not args.out:
         if args.format == "json":
             sys.stdout.write(json.dumps(report.rows, sort_keys=True) + "\n")

@@ -6,8 +6,10 @@ produce byte-identical artifacts.
 
 CAMPAIGN_KINDS is the one table of what a campaign kind is: the trial,
 which turns a config and a seed into a CSV row plus long-format trace rows;
-the summary over all rows; and the summary keys the CLI prints. run_campaign
-and the CLI's campaign subcommands read every per-kind decision from it.
+the summary over all rows; the summary keys the CLI prints; and the
+subcommand's help and options, each of which stores into a CampaignConfig
+field. run_campaign and the CLI's campaign subcommands read every per-kind
+decision from it, so a new kind or option is one entry there.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .complexes import (
@@ -198,36 +200,6 @@ class TorsionTrace:
     samples: list[tuple[int, int, float]] = field(default_factory=list)
     factors_at: dict[int, tuple[int, ...]] | None = None
 
-    @property
-    def max_ln_torsion(self) -> float:
-        return max((s[2] for s in self.samples), default=0.0)
-
-    @property
-    def peak_step(self) -> int | None:
-        best = None
-        for step, _, ln_t in self.samples:
-            if ln_t > 0 and (best is None or ln_t > best[1]):
-                best = (step, ln_t)
-        return best[0] if best else None
-
-    @property
-    def torsion_vanish_step(self) -> int | None:
-        """First sampled step after the last torsion sighting; None without torsion."""
-        last_seen = None
-        for step, _, ln_t in self.samples:
-            if ln_t > 0:
-                last_seen = step
-        if last_seen is None:
-            return None
-        for step, _, _ in self.samples:
-            if step > last_seen:
-                return step
-        return None
-
-    @property
-    def torsion_seen(self) -> bool:
-        return any(s[2] > 0 for s in self.samples)
-
 
 _SCAN_MAX_ROWS = 500
 _SCAN_MAX_FACES = 4_000
@@ -297,20 +269,16 @@ class CampaignConfig:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        for p in self.primes:
-            check_prime(p)
+        # shadow_growth runs primes[0]; the other kinds only record it
+        if len(self.primes) != 1:
+            raise ValueError(f"primes must hold one prime, got {list(self.primes)}")
+        check_prime(self.primes[0])
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "trials": self.trials,
-            "seed_base": self.seed_base,
-            "primes": list(self.primes),
-            "d": self.d,
-            "stride": self.stride,
-            "p_scale": self.p_scale,
-        }
+        """The config as <out>.json records it: every field but jobs, out and
+        verbose_factors, which change how a run executes, not its rows or summary."""
+        skip = ("jobs", "out", "verbose_factors")
+        return {k: v for k, v in asdict(self).items() if k not in skip}
 
 
 @dataclass
@@ -415,38 +383,40 @@ def _uncovered_rank_summary(rows: list[dict]) -> dict:
 
 
 def _torsion_scan_rows(cfg: CampaignConfig, seed: int) -> tuple[dict, list[dict]]:
-    """One row per run, and (seed, step, metric, value) trace rows per sample."""
+    """One row per run, and (seed, step, metric, value) trace rows per sample.
+
+    peak_step is the first sample of largest torsion and vanish_step the first
+    sample after the last torsion sighting; both are "" without torsion.
+    """
     t = torsion_scan(cfg.n, cfg.d, cfg.stride, seed, keep_factors=cfg.verbose_factors)
+    # step 0 comes first and is torsion-free. vanish is None from a torsion
+    # sighting until the next torsion-free sample.
+    max_ln, peak, vanish = t.samples[0][2], "", ""
+    trace_rows = []
+    for step, betti, ln_t in t.samples:
+        if ln_t > max_ln:
+            max_ln, peak = ln_t, step
+        if ln_t > 0:
+            vanish = None
+        elif vanish is None:
+            vanish = step
+        values = {"betti": betti, "ln_torsion": ln_t}
+        if t.factors_at is not None:
+            values["torsion_factors"] = ";".join(map(str, t.factors_at.get(step, ())))
+        trace_rows += (
+            {"seed": t.seed, "step": step, "metric": metric, "value": value}
+            for metric, value in values.items()
+        )
     row = {
         "n": t.n,
         "d": t.d,
         "seed": t.seed,
         "samples": len(t.samples),
-        "max_ln_torsion": t.max_ln_torsion,
-        "peak_step": t.peak_step if t.peak_step is not None else "",
-        "vanish_step": (
-            t.torsion_vanish_step if t.torsion_vanish_step is not None else ""
-        ),
-        "torsion_seen": int(t.torsion_seen),
+        "max_ln_torsion": max_ln,
+        "peak_step": peak,
+        "vanish_step": "" if vanish is None else vanish,
+        "torsion_seen": int(peak != ""),
     }
-    trace_rows = []
-    for step, betti, ln_t in t.samples:
-        trace_rows.append(
-            {"seed": t.seed, "step": step, "metric": "betti", "value": betti}
-        )
-        trace_rows.append(
-            {"seed": t.seed, "step": step, "metric": "ln_torsion", "value": ln_t}
-        )
-        if t.factors_at is not None:
-            factors = ";".join(map(str, t.factors_at.get(step, ())))
-            trace_rows.append(
-                {
-                    "seed": t.seed,
-                    "step": step,
-                    "metric": "torsion_factors",
-                    "value": factors,
-                }
-            )
     return row, trace_rows
 
 
@@ -461,37 +431,63 @@ def _torsion_scan_summary(rows: list[dict]) -> dict:
 
 @dataclass(frozen=True)
 class CampaignKind:
-    """What one campaign kind runs per trial and reports.
+    """What one campaign kind runs per trial and reports, and its subcommand.
 
     trial(cfg, seed) returns the trial's CSV row and its long-format trace
     rows, empty for kinds without a trace; summarize(rows) returns the
     summary of the finished campaign; printed names the summary keys the
-    CLI prints, in order.
+    CLI prints, in order. help is the subcommand's help and options are the
+    options only this kind takes, as (flags, add_argument keywords); each
+    stores into the CampaignConfig field of its dest.
     """
 
+    help: str
     trial: Callable[[CampaignConfig, int], tuple[dict, list[dict]]]
     summarize: Callable[[list[dict]], dict]
     printed: tuple[str, ...]
+    options: tuple[tuple[tuple[str, ...], dict], ...] = ()
+
+
+def _prime_tuple(text: str) -> tuple[int]:
+    """The primes field of one --prime value (an argparse type)."""
+    try:
+        return (int(text),)
+    except ValueError:
+        import argparse  # loaded already: only argparse calls this
+
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 CAMPAIGN_KINDS = {
     "hitting_time": CampaignKind(
-        _hitting_time_rows, _hitting_time_summary, ("equal_fraction", "trials")
+        "hitting-time campaign over seeded trials",
+        _hitting_time_rows, _hitting_time_summary, ("equal_fraction", "trials"),
     ),
     "shadow_growth": CampaignKind(
+        "shadow deficit campaign at M = (ln n / n) C(n,3)",
         lambda cfg, seed: (shadow_growth_trial(cfg.n, cfg.primes[0], seed), []),
         _shadow_growth_summary,
         ("mean_deficit", "fraction_exceeding", "trials"),
+        ((("--prime",), {"dest": "primes", "metavar": "PRIME", "type": _prime_tuple}),),
     ),
     "uncovered_rank": CampaignKind(
+        "torsion-free rank vs uncovered edges campaign",
         lambda cfg, seed: (uncovered_rank_trial(cfg.n, cfg.p_scale, seed), []),
         _uncovered_rank_summary,
         ("fraction_ok", "trials"),
+        ((("--p-scale",), {"type": float, "help": "p = p_scale * ln(n)/n"}),),
     ),
     "torsion_scan": CampaignKind(
+        "torsion burst scan of the d-dimensional process",
         _torsion_scan_rows,
         _torsion_scan_summary,
         ("max_ln_torsion", "fraction_with_torsion", "trials"),
+        (
+            (("--d",), {"type": int}),
+            (("--stride",), {"type": int}),
+            (("-v", "--verbose"), {"dest": "verbose_factors", "action": "store_true",
+                                   "help": "record exact torsion factors"}),
+        ),
     ),
 }
 

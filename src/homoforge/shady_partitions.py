@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .complexes import Complex, TripleSet, face_edges, json_int_field
 
@@ -40,13 +40,6 @@ class Thresholds:
         lnln = math.log(math.log(n))
         cap = max(1, math.ceil(math.comb(n, 3) / lnln))
         return cls(theta_edge=theta, theta_vertex=theta, max_bad_triples=cap)
-
-    def to_dict(self) -> dict:
-        return {
-            "theta_edge": self.theta_edge,
-            "theta_vertex": self.theta_vertex,
-            "max_bad_triples": self.max_bad_triples,
-        }
 
 
 def save_labels(bad: TripleSet, path: str) -> None:
@@ -146,7 +139,7 @@ class ShadyReport:
                 "edges": self.bad_edges,
                 "vertices": self.bad_vertices,
             },
-            "thresholds": self.thresholds.to_dict(),
+            "thresholds": asdict(self.thresholds),
         }
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -236,9 +237,9 @@ def test_criterion_9_determinism(tmp_path):
             )
             pairs.append(out)
         for ext in (".csv", ".json"):
-            assert open(str(pairs[0]) + ext, "rb").read() == open(
-                str(pairs[1]) + ext, "rb"
-            ).read()
+            assert Path(str(pairs[0]) + ext).read_bytes() == Path(
+                str(pairs[1]) + ext
+            ).read_bytes()
 
         scans = []
         for name in ("first", "second"):
@@ -251,6 +252,6 @@ def test_criterion_9_determinism(tmp_path):
             )
             scans.append(out)
         for ext in (".csv", ".json", "_trace.csv"):
-            assert open(str(scans[0]) + ext, "rb").read() == open(
-                str(scans[1]) + ext, "rb"
-            ).read()
+            assert Path(str(scans[0]) + ext).read_bytes() == Path(
+                str(scans[1]) + ext
+            ).read_bytes()

@@ -1,14 +1,18 @@
+import argparse
 import hashlib
 import json
 import math
+from dataclasses import asdict, fields
 
 import pytest
 
+from homoforge import cli
 from homoforge.cli import main
 from homoforge.complexes import Complex, TripleSet, load_complex, save_complex
 from homoforge.exact_linalg import SparseIntMatrix, write_matrix_file
+from homoforge.experiments import CAMPAIGN_KINDS, CampaignConfig
 from homoforge.homology import shadow
-from homoforge.shady_partitions import save_labels
+from homoforge.shady_partitions import Thresholds, save_labels
 
 
 def write_complex(tmp_path, Y, name="y.json"):
@@ -237,6 +241,34 @@ class TestVerifyPartitionCmd:
         lpath = tmp_path / "labels.bits"
         save_labels(TripleSet(7), str(lpath))
         assert main(["verify-partition", "--in", cpath, "--labels", str(lpath)]) == 2
+        assert capsys.readouterr().err == "error: complex has n=6 but labels have n=7\n"
+
+    @pytest.mark.parametrize("given", [
+        {},
+        {"theta_edge": 2},
+        {"theta_vertex": 3, "max_bad_triples": 40},
+        {"theta_edge": 1, "theta_vertex": 1, "max_bad_triples": 84},
+    ])
+    def test_threshold_options(self, tmp_path, capsys, given):
+        flags = {"theta_edge": "--theta-edge", "theta_vertex": "--theta-vertex",
+                 "max_bad_triples": "--max-bad"}
+        cpath = write_complex(tmp_path, Complex(9, 2, [(0, 1, 2)]))
+        lpath = tmp_path / "labels.bits"
+        save_labels(TripleSet(9), str(lpath))
+        argv = ["verify-partition", "--in", cpath, "--labels", str(lpath)]
+        for name, value in given.items():
+            argv += [flags[name], str(value)]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["thresholds"] == {**asdict(Thresholds.defaults(9)), **given}
+
+    def test_max_bad_zero_is_usage_error(self, tmp_path, capsys):
+        cpath = write_complex(tmp_path, Complex(6))
+        lpath = tmp_path / "labels.bits"
+        save_labels(TripleSet(6), str(lpath))
+        argv = ["verify-partition", "--in", cpath, "--labels", str(lpath), "--max-bad", "0"]
+        assert main(argv) == 2
+        assert "max_bad_triples must be positive" in capsys.readouterr().err
 
 
 class TestCampaignCmds:
@@ -332,3 +364,67 @@ class TestCampaignCmds:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_every_option_stores_into_a_config_field(self):
+        names = {f.name for f in fields(CampaignConfig)}
+        for spec in CAMPAIGN_KINDS.values():
+            for flags, kwargs in spec.options:
+                action = argparse.ArgumentParser().add_argument(*flags, **kwargs)
+                assert action.dest in names, flags
+
+    @pytest.mark.parametrize("value, err", [
+        ("x", "argument --prime: invalid int value: 'x'"),
+        ("4", "error: 4 is not prime"),
+    ])
+    def test_bad_prime_is_usage_error(self, capsys, value, err):
+        argv = ["shadow-growth", "--n", "8", "--trials", "1", "--seed", "3",
+                "--prime", value]
+        assert main(argv) == 2
+        assert err in capsys.readouterr().err
+
+    def test_prime_gives_primes_tuple(self, monkeypatch, capsys):
+        configs = []
+        run_campaign = cli.run_campaign
+
+        def recording_run(cfg):
+            configs.append(cfg)
+            return run_campaign(cfg)
+
+        monkeypatch.setattr(cli, "run_campaign", recording_run)
+        argv = ["shadow-growth", "--n", "8", "--trials", "1", "--seed", "3",
+                "--prime", "3"]
+        assert main(argv) == 0
+        assert configs == [CampaignConfig(kind="shadow_growth", n=8, trials=1,
+                                          seed_base=3, primes=(3,))]
+
+    @pytest.mark.parametrize("command, usage", [
+        ("hitting-time", """\
+usage: homoforge hitting-time [-h] --n N --trials TRIALS --seed SEED
+                              [--jobs JOBS] [--out OUT] [--format {csv,json}]
+"""),
+        ("shadow-growth", """\
+usage: homoforge shadow-growth [-h] --n N --trials TRIALS --seed SEED
+                               [--jobs JOBS] [--out OUT] [--format {csv,json}]
+                               [--prime PRIME]
+"""),
+        ("uncovered-rank", """\
+usage: homoforge uncovered-rank [-h] --n N --trials TRIALS --seed SEED
+                                [--jobs JOBS] [--out OUT]
+                                [--format {csv,json}] [--p-scale P_SCALE]
+"""),
+        ("torsion-scan", """\
+usage: homoforge torsion-scan [-h] --n N --trials TRIALS --seed SEED
+                              [--jobs JOBS] [--out OUT] [--format {csv,json}]
+                              [--d D] [--stride STRIDE] [-v]
+"""),
+        ("verify-partition", """\
+usage: homoforge verify-partition [-h] --in INFILE --labels LABELS
+                                  [--theta-edge THETA_EDGE]
+                                  [--theta-vertex THETA_VERTEX]
+                                  [--max-bad MAX_BAD]
+"""),
+    ])
+    def test_help_usage(self, monkeypatch, capsys, command, usage):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(usage + "\n")

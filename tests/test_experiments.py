@@ -196,14 +196,39 @@ class TestTorsionScan:
         assert tr.samples[-1][1] == 0
 
     def test_peak_and_vanish_consistency(self):
-        tr = torsion_scan(9, 2, stride=3, seed=11)
-        if tr.torsion_seen:
-            assert tr.peak_step is not None
-            if tr.torsion_vanish_step is not None:
-                assert tr.torsion_vanish_step > tr.peak_step
+        cfg = CampaignConfig(kind="torsion_scan", n=9, trials=1, seed_base=11, stride=3)
+        row = run_campaign(cfg).rows[0]
+        if row["torsion_seen"]:
+            assert row["peak_step"] != ""
+            if row["vanish_step"] != "":
+                assert row["vanish_step"] > row["peak_step"]
         else:
-            assert tr.max_ln_torsion == 0.0
-            assert tr.peak_step is None and tr.torsion_vanish_step is None
+            assert row["max_ln_torsion"] == 0.0
+            assert row["peak_step"] == "" and row["vanish_step"] == ""
+
+    # Random scans rarely show torsion, so the row fields are checked on
+    # hand-built samples of (step, betti, ln torsion order).
+    @pytest.mark.parametrize("ln_torsion, max_ln, peak, vanish", [
+        # a tie keeps the earlier step as the peak
+        ([0, 0.7, 1.1, 1.1, 0], 1.1, 2, 4),
+        # torsion that reappears vanishes after its last sighting
+        ([0, 1.1, 0, 0, 0.7, 0, 0], 1.1, 1, 5),
+        # torsion still there at the last sample has no vanish step
+        ([0, 0, 0.7], 0.7, 2, ""),
+        ([0, 0, 0], 0, "", ""),
+    ])
+    def test_row_from_samples(self, monkeypatch, ln_torsion, max_ln, peak, vanish):
+        samples = [(step, 1, ln_t) for step, ln_t in enumerate(ln_torsion)]
+        monkeypatch.setattr(
+            experiments, "torsion_scan",
+            lambda n, d, stride, seed, keep_factors: experiments.TorsionTrace(
+                n, d, seed, samples),
+        )
+        cfg = CampaignConfig(kind="torsion_scan", n=7, trials=1, seed_base=0)
+        row = run_campaign(cfg).rows[0]
+        assert row["max_ln_torsion"] == max_ln
+        assert (row["peak_step"], row["vanish_step"]) == (peak, vanish)
+        assert row["torsion_seen"] == int(peak != "")
 
 
 class TestWilsonInterval:
@@ -312,3 +337,18 @@ class TestCampaigns:
                     kind="shadow_growth", n=8, trials=1, seed_base=0, primes=(4,)
                 )
             )
+
+    @pytest.mark.parametrize("primes", [(), (2, 3)])
+    def test_primes_must_hold_one_prime(self, tmp_path, primes):
+        cfg = CampaignConfig(kind="shadow_growth", n=8, trials=1, seed_base=0,
+                             primes=primes, out=str(tmp_path / "s"))
+        with pytest.raises(ValueError, match="primes must hold one prime"):
+            run_campaign(cfg)
+        assert not list(tmp_path.iterdir())
+
+    def test_json_config_keys(self):
+        cfg = CampaignConfig(kind="hitting_time", n=8, trials=1, seed_base=0,
+                             jobs=2, out="x", verbose_factors=True)
+        assert list(cfg.to_json_dict()) == [
+            "kind", "n", "trials", "seed_base", "primes", "d", "stride", "p_scale",
+        ]
