@@ -347,42 +347,46 @@ class ProcessStream:
         return [next(self) for _ in range(min(m, self.total - self._pos))]
 
 
+def _bulk_complex(n: int, dim: int, faces: Iterable, edge_cover_count=None) -> Complex:
+    """Complex(n, dim, faces) for faces valid and distinct by construction,
+    without add_face's checks; edge_cover_count passes counts already made.
+    """
+    Y = Complex(n, dim)
+    Y.faces = set(faces)
+    if edge_cover_count is not None:
+        Y.edge_cover_count = edge_cover_count
+    elif (count := Y.edge_cover_count) is not None:
+        for f in Y.faces:
+            for r in triangle_edge_ranks(f):
+                count[r] += 1
+    return Y
+
+
 def sample_fixed_size(n: int, M: int, seed: int, dim: int = 2) -> Complex:
     """The fixed-size model: the first M faces of the seeded process."""
     stream = ProcessStream(n, seed, dim=dim)
     if not 0 <= M <= stream.total:
         raise ValueError(f"M={M} out of range [0, {stream.total}]")
-    return Complex(n, dim, stream.take(M))
+    return _bulk_complex(n, dim, stream.take(M))
 
 
 def sample_binomial(n: int, p: float, seed: int, dim: int = 2) -> Complex:
     """The binomial model: each face included independently with probability p.
 
     One rng.random() is drawn per face, in the lexicographic order of
-    combinations, and none when p is 0 or 1. Faces from combinations are
-    valid by construction, so the face set and edge counts are built in
-    bulk rather than through add_face.
+    combinations, and none when p is 0 or 1.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p={p} outside [0, 1]")
     if n < dim + 1:
         raise ValueError(f"need n >= {dim + 1}, got n={n}")
-    Y = Complex(n, dim)
-    if p == 0.0:
-        return Y
     from itertools import combinations
 
-    faces = combinations(range(n), dim + 1)
-    if p < 1.0:
+    faces = combinations(range(n), dim + 1) if p else ()
+    if 0.0 < p < 1.0:
         draw = random.Random(seed).random
         faces = [f for f in faces if draw() < p]
-    Y.faces = set(faces)
-    if Y.edge_cover_count is not None:
-        count = Y.edge_cover_count
-        for f in Y.faces:
-            for r in triangle_edge_ranks(f):
-                count[r] += 1
-    return Y
+    return _bulk_complex(n, dim, faces)
 
 
 # ---------------------------------------------------------------------------

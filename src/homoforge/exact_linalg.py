@@ -5,12 +5,12 @@ and boundary_column gives the one column of a face. Both eliminations
 copy those columns into a column store with a row index and run one
 sparse unit-pivot loop: over Z a unit is +-1, over F_p any nonzero
 entry. The loop peels columns with a single unit entry first, which
-needs no fill-in; in the cycle coordinates that homology uses, that
-peeling takes most pivots and often all. Over Z the Smith normal form
-then diagonalises the residual core by division with remainder on
-Python integers; over F_p the pivots give the rank and a quotient map
-whose kernel is the column space. Dense products mod p are kept below
-2^63.
+needs no fill-in; homology peels the lone units of its cycle coordinates
+itself, before any column store is built, and passes only the rest. Over
+Z the Smith normal form then diagonalises the residual core by division
+with remainder on Python integers; over F_p the pivots give the rank and
+a quotient map whose kernel is the column space. Dense products mod p
+are kept below 2^63.
 """
 
 from __future__ import annotations
@@ -316,9 +316,9 @@ def _eliminate_unit_pivots(
     subtracting (v / u) times the column removes v and touches nothing
     else; so peeling adds no fill-in, and a column it empties is dropped.
     Deleting entries makes more columns lone, so peeling cascades. Over Z a
-    lone non-unit is skipped. In cycle coordinates every face through the
-    cone vertex is a lone +-1 (see homology.shadow), and on complexes of
-    the random process the cascade takes most pivots, often all of them.
+    lone non-unit is skipped. homology peels the lone units of its cycle
+    coordinates itself (homology._peel_cycle_boundary), so there the stack
+    takes only columns that fill-in leaves lone.
 
     Otherwise a column that still has a unit pivots on the one whose row has
     the fewest columns: column operations clear its row from every other
@@ -583,8 +583,8 @@ def smith_normal_form(M: SparseIntMatrix) -> SnfResult:
        +-1 entry on the row with the fewest columns, by column operations.
        The invariant factors of a matrix are unique, so the pivot order
        changes only the cost, never the factors. Boundary matrices have
-       +-1 entries, so this usually eliminates all of them; in cycle
-       coordinates (homology.homology_Z) the lone units alone usually do.
+       +-1 entries, so this usually eliminates all of them; homology_Z
+       peels the lone units of its cycle coordinates before this step.
     2. Elimination of the residual core (the rows and columns still
        nonzero) by division with remainder, which leaves it diagonal.
     3. A gcd/lcm exchange puts that diagonal in divisibility order. It

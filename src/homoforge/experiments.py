@@ -25,6 +25,7 @@ from typing import Callable
 from .complexes import (
     Complex,
     ProcessStream,
+    _bulk_complex,
     sample_binomial,
     sample_fixed_size,
     triangle_edge_ranks,
@@ -64,28 +65,26 @@ def hitting_time_trial(n: int, seed: int) -> ProcessTrace:
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     stream = ProcessStream(n, seed, dim=2)
-    Y = Complex(n, dim=2)
-    cover_count = Y.edge_cover_count
-    assert cover_count is not None
+    cover_count = [0] * math.comb(n, 2)
     faces: list[tuple[int, ...]] = []
-    uncovered = math.comb(n, 2)
+    uncovered = len(cover_count)
     for f in stream:
         for r in triangle_edge_ranks(f):
             if cover_count[r] == 0:
                 uncovered -= 1
-        Y.add_face(f)
+            cover_count[r] += 1
         faces.append(f)
         if uncovered == 0:
             break
     else:
         raise AssertionError("process exhausted without covering every edge")
     h_delta = len(faces)
-    summaries = {h_delta: homology_Z(Y)}
+    summaries = {h_delta: homology_Z(_bulk_complex(n, 2, faces, cover_count))}
 
     def summary_at(step: int) -> HomologySummary:
         if step not in summaries:
             faces.extend(stream.take(step - len(faces)))
-            summaries[step] = homology_Z(Complex(n, 2, faces[:step]))
+            summaries[step] = homology_Z(_bulk_complex(n, 2, faces[:step]))
         return summaries[step]
 
     h_f2 = _first_step(

@@ -6,6 +6,7 @@ to_bytes() as <out>.bits and {n, p, size, deficit} as <out>.json.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -14,6 +15,7 @@ import numpy as np
 from .complexes import Complex, TripleSet, triangle_edge_ranks, uncovered_edges
 from .exact_linalg import (
     SparseIntMatrix,
+    boundary_column,
     boundary_columns_dense,  # unused; perfbench's tracer wraps this binding
     boundary_matrix,
     quotient_map_mod_p,
@@ -57,24 +59,79 @@ def betti1_mod_p(Y: Complex, p: int) -> int:
     return math.comb(Y.n, 2) - (Y.n - 1) - rank
 
 
+def _peel_cycle_boundary(Y: Complex) -> tuple[int, SparseIntMatrix, list[int]]:
+    """(peeled, residual, live rows) of the boundary in cycle coordinates.
+
+    Each face keeps its rows below C(n-1, d) (see homology_Z); one through
+    n-1 keeps one. On integer lists, a column counts its live rows and XORs
+    them, so a column whose count is 1 names its row by the XOR; that row
+    is peeled from every column on it, and the columns it leaves lone
+    follow. The residual keeps the columns with two or more live rows in
+    colex order, each with its boundary_column entries on the live rows,
+    renumbered in increasing order.
+    """
+    n, d = Y.n, Y.dim
+    top = math.comb(n - 1, d)
+    faces = list(Y.faces)
+    count, xor = [], []
+    on_row: list[list[int]] = [[] for _ in range(top)]
+    for c, f in enumerate(faces):
+        x = k = 0
+        for r in triangle_edge_ranks(f) if d == 2 else boundary_column(f, n):
+            if r < top:
+                x ^= r
+                k += 1
+                on_row[r].append(c)
+        count.append(k)
+        xor.append(x)
+    live = [True] * top
+    lone = [c for c, k in enumerate(count) if k == 1]
+    while lone:
+        c = lone.pop()
+        if count[c] == 1:
+            r = xor[c]
+            live[r] = False
+            for c2 in on_row[r]:
+                k = count[c2] = count[c2] - 1
+                xor[c2] ^= r
+                if k == 1:
+                    lone.append(c2)
+    live_rows = list(itertools.compress(range(top), live))
+    index = {r: i for i, r in enumerate(live_rows)}
+    kept = sorted((f for f, k in zip(faces, count) if k > 1), key=lambda f: f[::-1])
+    residual = SparseIntMatrix(len(live_rows), len(kept))
+    residual.columns = {
+        j: {index[r]: v for r, v in boundary_column(f, n).items() if r in index}
+        for j, f in enumerate(kept)
+    }
+    return top - len(live_rows), residual, live_rows
+
+
 def homology_Z(Y: Complex) -> HomologySummary:
     """H_{d-1}(Y; Z) of a complex with full (d-1)-skeleton, via Smith form.
 
-    The Smith form runs in cycle coordinates, on _cycle_boundary(Y), by the
-    cone-basis argument of shadow in any d. The cones boundary(s + {n-1}),
+    The Smith form runs in cycle coordinates. The cones boundary(s + {n-1}),
     over the (d-1)-faces s that avoid vertex n-1, are a Z-basis of the
     (d-1)-cycles: a cycle z minus the sum of z_s times the cone of s is a
     cycle on the faces through n-1 alone, and such a chain n-1 * c has
-    boundary c -+ n-1 * boundary(c), which vanishes only for c = 0. So a
-    cycle's coordinates are its entries on the rows below C(n-1, d), and
-    the cut maps the cycles isomorphically onto Z^C(n-1, d) and the
-    boundaries onto its column lattice. Its cokernel is exactly H_{d-1}:
-    betti = C(n-1, d) - rank, and the torsion is that of the Smith form.
-    Every face through n-1 is a lone +-1 there, which the unit-pivot
-    elimination peels first and without fill-in.
+    boundary c -+ n-1 * boundary(c), which vanishes only for c = 0. So the
+    cut to the rows below C(n-1, d) maps the cycles isomorphically onto
+    Z^C(n-1, d) and the boundaries onto its column lattice; the cokernel is
+    H_{d-1}. Every face through n-1 is a lone +-1 there.
+
+    _peel_cycle_boundary peels the lone units, each a unimodular step and an
+    invariant factor 1, so betti = C(n-1, d) - peeled - rank(residual) and
+    the torsion is the residual's. Peeling a row only shrinks columns, so
+    the peeled rows are a closure: a row peeled in one order has the other
+    rows of its column peeled first, by induction in any order, so no order
+    stops short of it. The residual is thus the same in every order, and is
+    what the unit-pivot kernel leaves of the whole cut matrix when it has
+    emptied its lone stack, before its first sweep column: the same columns
+    and entries in the same order, so the sweep takes the kernel's pivots.
     """
-    snf = smith_normal_form(_cycle_boundary(Y))
-    betti = cycle_space_dim(Y.n, Y.dim) - snf.rank
+    peeled, residual, _ = _peel_cycle_boundary(Y)
+    snf = smith_normal_form(residual)
+    betti = cycle_space_dim(Y.n, Y.dim) - peeled - snf.rank
     return HomologySummary(betti=betti, torsion=snf.torsion_factors())
 
 
@@ -98,23 +155,6 @@ def is_H1_trivial_Z(Y: Complex) -> bool:
 _SHADOW_CHUNK = 4096
 
 
-def _cycle_boundary(Y: Complex) -> SparseIntMatrix:
-    """boundary_matrix(Y) on the rows below C(n-1, d): the (d-1)-faces that
-    avoid vertex n-1, which give a cycle's coordinates in the cone basis
-    (see shadow). A face keeps at least its facet without its top vertex;
-    a face through n-1 keeps only that facet, a lone +-1.
-    """
-    B = boundary_matrix(Y)
-    B.rows = math.comb(Y.n - 1, Y.dim)
-    # columns are in colex order, so those of the faces through n-1 come last
-    for col in reversed(B.columns.values()):
-        if max(col) < B.rows:
-            break
-        for r in [r for r in col if r >= B.rows]:
-            del col[r]
-    return B
-
-
 def shadow(Y: Complex, p: int) -> TripleSet:
     """The F_p-shadow of Y over all C(n,3) triples.
 
@@ -122,30 +162,27 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     unchanged, equivalently iff its boundary lies in the span of the
     boundary columns of the existing faces.
 
-    Membership is tested in cycle coordinates. Every boundary column and
-    every triple boundary is a 1-cycle of the full 1-skeleton. The cones
-    boundary(a, b, n-1), over the edges ab that avoid vertex n-1, are a
-    Z-basis of those cycles: a cycle z minus the sum of z_ab times the cone
-    of ab has no entry off the star of n-1, a tree, so it is zero. A cycle's
-    coordinates in that basis are thus its entries on the rows below
-    C(n-1, 2), so restricting to those rows is injective on cycles over
-    every F_p, and a triple boundary lies in the span of the boundary
-    columns iff its restriction lies in the span of theirs. The n-1 vertex
-    coboundaries, which vanish on every cycle, drop out of the quotient.
-
-    One sparse elimination of the restricted matrix B over F_p gives a
-    quotient map Q with ker Q^T = col span of B (see quotient_map_mod_p).
-    R is Q^T padded with zero columns for the edges through n-1, so it has
-    betti1_mod_p(Y, p) rows, and the boundary of a < b < c lies in the
-    span iff R[:, bc] - R[:, ac] + R[:, ab] vanishes mod p. Only the C(n,2)
-    edge vectors are mapped, not the C(n,3) triples.
+    Membership is tested in cycle coordinates (see homology_Z), an
+    isomorphism of the 1-cycles onto Z^C(n-1, 2) and so injective on cycles
+    over every F_p: a triple boundary lies in the span iff its cut does.
+    quotient_map_mod_p of the residual gives Q on the live rows, with
+    ker Q^T = its column span; a peeled row gets a zero row, as a lone
+    pivot gives it. A cut column is a residual column plus entries in
+    peeled rows, or has entries in peeled rows only, so ker Q^T holds every
+    cut column; as peeled + rank(residual) is their rank, it is their span.
+    By the closure of homology_Z, an elimination of the whole cut matrix
+    gives this same Q. R is Q^T with zero columns for the edges through
+    n-1, so it has betti1_mod_p(Y, p) rows, and the boundary of a < b < c
+    lies in the span iff R[:, bc] - R[:, ac] + R[:, ab] vanishes mod p.
+    Only the C(n,2) edge vectors are mapped, not the C(n,3) triples.
     """
     if Y.dim != 2:
         raise ValueError("shadow requires a 2-dimensional complex")
     n = Y.n
-    Q = quotient_map_mod_p(_cycle_boundary(Y), p)
+    _, residual, live_rows = _peel_cycle_boundary(Y)
+    Q = quotient_map_mod_p(residual, p)
     R = np.zeros((Q.shape[1], math.comb(n, 2)), dtype=np.int64)
-    R[:, : Q.shape[0]] = Q.T
+    R[:, live_rows] = Q.T
     total = math.comb(n, 3)
     # colex order lists, for each c, the C(c, 2) edges ab below c in colex order
     v = np.arange(n, dtype=np.int64)

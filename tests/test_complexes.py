@@ -283,6 +283,19 @@ class TestBinomial:
         assert Y == ref
         assert Y.edge_cover_count == ref.edge_cover_count
 
+    @pytest.mark.parametrize(
+        "n, M, seed, dim",
+        [(20, 300, 3, 2), (30, 461, 3000, 2), (6, 20, 1, 2), (9, 40, 5, 3), (8, 12, 2, 1)],
+    )
+    def test_fixed_size_matches_add_face_reference(self, n, M, seed, dim):
+        # the first M stream faces, counts as add_face keeps them
+        ref = Complex(n, dim)
+        for f in ProcessStream(n, seed, dim).take(M):
+            ref.add_face(f)
+        Y = sample_fixed_size(n, M, seed, dim)
+        assert Y == ref
+        assert Y.edge_cover_count == ref.edge_cover_count
+
     def test_fixed_size_model(self):
         Y = sample_fixed_size(10, 17, 5)
         assert Y.num_faces == 17

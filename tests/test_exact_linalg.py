@@ -609,16 +609,22 @@ class TestEliminateUnitPivots:
     @pytest.mark.parametrize("n, seed", [(25, 1025), (40, 40000)])
     def test_h_delta_prefix_takes_no_fill(self, n, seed, monkeypatch):
         # in cycle coordinates lone units peel every pivot, so homology_Z
-        # never adds one column to another
-        calls = []
+        # never adds one column to another and its Smith form gets no column
+        calls, widths = [], []
 
         def counted(*args):
             calls.append(args[2])
             return _add_column(*args)
 
+        def snf_width(M):
+            widths.append(M.cols)
+            return smith_normal_form(M)
+
         monkeypatch.setattr("homoforge.exact_linalg._add_column", counted)
+        monkeypatch.setattr("homoforge.homology.smith_normal_form", snf_width)
         assert homology_Z(h_delta_prefix(n, seed)).trivial
         assert calls == []
+        assert widths == [0]
 
 
 class TestMinorGcdOracle:

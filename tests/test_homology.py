@@ -20,6 +20,7 @@ from homoforge.complexes import (
     uncovered_edges,
 )
 from homoforge.exact_linalg import (
+    boundary_column,
     boundary_matrix,
     quotient_map_mod_p,
     rank_mod_p,
@@ -27,7 +28,7 @@ from homoforge.exact_linalg import (
 )
 from homoforge.homology import (
     HomologySummary,
-    _cycle_boundary,
+    _peel_cycle_boundary,
     betti1_mod_p,
     cycle_space_dim,
     homology_Z,
@@ -114,7 +115,7 @@ class TestHomologyZ:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        d=st.sampled_from([2, 3]),
+        d=st.sampled_from([1, 2, 3]),
         n=st.integers(4, 8),
         fraction=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
@@ -130,6 +131,62 @@ class TestHomologyZ:
     def test_cycle_coordinates_exact_on_surfaces(self, case, request):
         Y = request.getfixturevalue(case)
         assert homology_Z(Y) == raw_boundary_homology(Y)
+
+    def test_torsion_with_a_residual(self):
+        # below h_delta the cascade stalls: 96 of 1,711 rows peel at n=60
+        Y = sample_fixed_size(60, 1540, 1)
+        assert homology_Z(Y) == HomologySummary(171, (2,))
+        assert homology_Z(Y) == raw_boundary_homology(Y)
+
+
+def reference_residual(Y, peeled_rows):
+    """The cut boundary columns that keep two or more rows outside
+    peeled_rows, in colex order, on the original row numbers."""
+    top = math.comb(Y.n - 1, Y.dim)
+    cols = []
+    for f in Y.faces_sorted():
+        col = {r: v for r, v in boundary_column(f, Y.n).items()
+               if r < top and r not in peeled_rows}
+        if len(col) >= 2:
+            cols.append(list(col.items()))
+    return cols
+
+
+class TestPeelCycleBoundary:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        n=st.integers(3, 9),
+        fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closure_is_order_free(self, d, n, fraction, seed):
+        all_faces = list(combinations(range(n), d + 1))
+        picked = random.Random(seed).sample(all_faces, round(fraction * len(all_faces)))
+        peeled, residual, live_rows = _peel_cycle_boundary(Complex(n, d, picked))
+        again = _peel_cycle_boundary(Complex(n, d, picked[::-1]))
+        assert (peeled, residual, live_rows) == again
+        assert [list(c.items()) for c in residual.columns.values()] == [
+            list(c.items()) for c in again[1].columns.values()
+        ]
+        # live rows strictly increase and number the residual's rows
+        top = math.comb(n - 1, d)
+        assert all(a < b for a, b in zip(live_rows, live_rows[1:]))
+        assert residual.rows == len(live_rows) == top - peeled
+        assert list(residual.columns) == list(range(residual.cols))
+        # closed: no column keeps exactly one live row, and every residual
+        # column is its boundary on the live rows, with two or more entries
+        peeled_rows = set(range(top)) - set(live_rows)
+        mapped = [[(live_rows[r], v) for r, v in c.items()]
+                  for c in residual.columns.values()]
+        assert mapped == reference_residual(Complex(n, d, picked), peeled_rows)
+        assert all(len(c) >= 2 for c in mapped)
+        assert not any(r in peeled_rows for c in mapped for r, _ in c)
+        assert all(
+            len([r for r in boundary_column(f, n) if r < top and r not in peeled_rows])
+            != 1
+            for f in picked
+        )
 
 
 class TestTriviality:
@@ -271,11 +328,12 @@ class TestShadow:
         p=st.sampled_from([2, 3, 5, 2**31 - 1]),
     )
     def test_cycle_rows_keep_rank(self, n, num_faces, seed, p):
-        # restricting to the edges that avoid n-1 is injective on cycles
+        # restricting to the edges that avoid n-1 is injective on cycles,
+        # and each peeled row is one pivot
         Y = random_complex(n, num_faces, random.Random(seed))
-        C = _cycle_boundary(Y)
-        assert rank_mod_p(C, p) == rank_mod_p(boundary_matrix(Y), p)
-        assert quotient_map_mod_p(C, p).shape[1] == betti1_mod_p(Y, p)
+        peeled, residual, _ = _peel_cycle_boundary(Y)
+        assert peeled + rank_mod_p(residual, p) == rank_mod_p(boundary_matrix(Y), p)
+        assert quotient_map_mod_p(residual, p).shape[1] == betti1_mod_p(Y, p)
 
     # sha256 of shadow(sample_fixed_size(30, 461, seed), 3).to_bytes(), the
     # shadow_p3 benchmark size; a deficit cannot see two swapped members
