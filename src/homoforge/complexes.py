@@ -347,15 +347,11 @@ class ProcessStream:
         return [next(self) for _ in range(min(m, self.total - self._pos))]
 
 
-def _bulk_complex(n: int, dim: int, faces: Iterable, edge_cover_count=None) -> Complex:
-    """Complex(n, dim, faces) for faces valid and distinct by construction,
-    without add_face's checks; edge_cover_count passes counts already made.
-    """
+def _bulk_complex(n: int, dim: int, faces: Iterable) -> Complex:
+    """Complex(n, dim, faces) for faces valid by construction: no add_face checks."""
     Y = Complex(n, dim)
     Y.faces = set(faces)
-    if edge_cover_count is not None:
-        Y.edge_cover_count = edge_cover_count
-    elif (count := Y.edge_cover_count) is not None:
+    if (count := Y.edge_cover_count) is not None:
         for f in Y.faces:
             for r in triangle_edge_ranks(f):
                 count[r] += 1

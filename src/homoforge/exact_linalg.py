@@ -5,12 +5,11 @@ and boundary_column gives the one column of a face. Both eliminations
 copy those columns into a column store with a row index and run one
 sparse unit-pivot loop: over Z a unit is +-1, over F_p any nonzero
 entry. The loop peels columns with a single unit entry first, which
-needs no fill-in; homology peels the lone units of its cycle coordinates
-itself, before any column store is built, and passes only the rest. Over
-Z the Smith normal form then diagonalises the residual core by division
-with remainder on Python integers; over F_p the pivots give the rank and
-a quotient map whose kernel is the column space. Dense products mod p
-are kept below 2^63.
+needs no fill-in (homology peels those of its cycle coordinates before
+any store is built). Over Z the Smith normal form then diagonalises the
+residual core by division with remainder on Python integers; over F_p
+the pivots give the rank and a quotient map whose kernel is the column
+space. Dense products mod p are kept below 2^63.
 """
 
 from __future__ import annotations

@@ -65,7 +65,9 @@ def hitting_time_trial(n: int, seed: int) -> ProcessTrace:
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     stream = ProcessStream(n, seed, dim=2)
-    cover_count = [0] * math.comb(n, 2)
+    Y = Complex(n, dim=2)
+    cover_count = Y.edge_cover_count
+    assert cover_count is not None
     faces: list[tuple[int, ...]] = []
     uncovered = len(cover_count)
     for f in stream:
@@ -73,13 +75,14 @@ def hitting_time_trial(n: int, seed: int) -> ProcessTrace:
             if cover_count[r] == 0:
                 uncovered -= 1
             cover_count[r] += 1
+        Y.faces.add(f)
         faces.append(f)
         if uncovered == 0:
             break
     else:
         raise AssertionError("process exhausted without covering every edge")
     h_delta = len(faces)
-    summaries = {h_delta: homology_Z(_bulk_complex(n, 2, faces, cover_count))}
+    summaries = {h_delta: homology_Z(Y)}
 
     def summary_at(step: int) -> HomologySummary:
         if step not in summaries:

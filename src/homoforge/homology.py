@@ -6,7 +6,6 @@ to_bytes() as <out>.bits and {n, p, size, deficit} as <out>.json.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,52 +58,53 @@ def betti1_mod_p(Y: Complex, p: int) -> int:
     return math.comb(Y.n, 2) - (Y.n - 1) - rank
 
 
-def _peel_cycle_boundary(Y: Complex) -> tuple[int, SparseIntMatrix, list[int]]:
-    """(peeled, residual, live rows) of the boundary in cycle coordinates.
+def _peel_cycle_boundary(Y: Complex) -> tuple[set[int], list[tuple[int, ...]]]:
+    """Peeled rows and the rows of the residual columns, in colex order.
 
-    Each face keeps its rows below C(n-1, d) (see homology_Z); one through
-    n-1 keeps one. On integer lists, a column counts its live rows and XORs
-    them, so a column whose count is 1 names its row by the XOR; that row
-    is peeled from every column on it, and the columns it leaves lone
-    follow. The residual keeps the columns with two or more live rows in
-    colex order, each with its boundary_column entries on the live rows,
-    renumbered in increasing order.
+    A face's rows (triangle_edge_ranks if d = 2, else boundary_column) have
+    signs +, -, +, ... in turn; its live rows are those below C(n-1, d) (see
+    homology_Z) not yet peeled. A column counts and XORs them, so at count 1
+    the XOR names its row, which is peeled from every column on it; the
+    columns left lone follow. Rows that no face meets cost nothing.
     """
-    n, d = Y.n, Y.dim
-    top = math.comb(n - 1, d)
-    faces = list(Y.faces)
+    n, d, top, faces = Y.n, Y.dim, math.comb(Y.n - 1, Y.dim), list(Y.faces)
+    face_rows = [
+        triangle_edge_ranks(f) if d == 2 else tuple(boundary_column(f, n)) for f in faces
+    ]
     count, xor = [], []
-    on_row: list[list[int]] = [[] for _ in range(top)]
-    for c, f in enumerate(faces):
+    on_row: dict[int, list[int]] = {}
+    for c, rows in enumerate(face_rows):
         x = k = 0
-        for r in triangle_edge_ranks(f) if d == 2 else boundary_column(f, n):
+        for r in rows:
             if r < top:
                 x ^= r
                 k += 1
-                on_row[r].append(c)
+                on_row.setdefault(r, []).append(c)
         count.append(k)
         xor.append(x)
-    live = [True] * top
+    peeled = set()
     lone = [c for c, k in enumerate(count) if k == 1]
     while lone:
         c = lone.pop()
         if count[c] == 1:
             r = xor[c]
-            live[r] = False
+            peeled.add(r)
             for c2 in on_row[r]:
                 k = count[c2] = count[c2] - 1
                 xor[c2] ^= r
                 if k == 1:
                     lone.append(c2)
-    live_rows = list(itertools.compress(range(top), live))
+    kept = sorted((c for c, k in enumerate(count) if k > 1), key=lambda c: faces[c][::-1])
+    return peeled, [face_rows[c] for c in kept]
+
+
+def _residual(columns: list[tuple[int, ...]], live_rows: list[int]) -> SparseIntMatrix:
+    """The columns on live_rows, renumbered; a column's i-th row has sign (-1)^i."""
     index = {r: i for i, r in enumerate(live_rows)}
-    kept = sorted((f for f, k in zip(faces, count) if k > 1), key=lambda f: f[::-1])
-    residual = SparseIntMatrix(len(live_rows), len(kept))
-    residual.columns = {
-        j: {index[r]: v for r, v in boundary_column(f, n).items() if r in index}
-        for j, f in enumerate(kept)
-    }
-    return top - len(live_rows), residual, live_rows
+    signed = ({index[r]: (-1) ** i for i, r in enumerate(c) if r in index} for c in columns)
+    m = SparseIntMatrix(len(live_rows), len(columns))
+    m.columns = dict(enumerate(signed))
+    return m
 
 
 def homology_Z(Y: Complex) -> HomologySummary:
@@ -121,18 +121,19 @@ def homology_Z(Y: Complex) -> HomologySummary:
 
     _peel_cycle_boundary peels the lone units, each a unimodular step and an
     invariant factor 1, so betti = C(n-1, d) - peeled - rank(residual) and
-    the torsion is the residual's. Peeling a row only shrinks columns, so
-    the peeled rows are a closure: a row peeled in one order has the other
-    rows of its column peeled first, by induction in any order, so no order
-    stops short of it. The residual is thus the same in every order, and is
-    what the unit-pivot kernel leaves of the whole cut matrix when it has
-    emptied its lone stack, before its first sweep column: the same columns
-    and entries in the same order, so the sweep takes the kernel's pivots.
+    the torsion is the residual's, on the live rows its columns meet. As
+    peeling a row only shrinks columns, the peeled rows are a closure, the
+    same in every order (a row peeled in one order has its column's other
+    rows peeled first, so by induction no order stops short of it). So the
+    residual is what the unit-pivot kernel leaves of the whole cut matrix
+    once its lone stack is empty, before its first sweep column: the same
+    columns and entries in the same order, less zero rows: the sweeps agree.
     """
-    peeled, residual, _ = _peel_cycle_boundary(Y)
-    snf = smith_normal_form(residual)
-    betti = cycle_space_dim(Y.n, Y.dim) - peeled - snf.rank
-    return HomologySummary(betti=betti, torsion=snf.torsion_factors())
+    peeled, columns = _peel_cycle_boundary(Y)
+    top = cycle_space_dim(Y.n, Y.dim)
+    live_rows = sorted({r for c in columns for r in c if r < top} - peeled)
+    snf = smith_normal_form(_residual(columns, live_rows))
+    return HomologySummary(top - len(peeled) - snf.rank, snf.torsion_factors())
 
 
 def is_H1_trivial_Z(Y: Complex) -> bool:
@@ -165,22 +166,23 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     Membership is tested in cycle coordinates (see homology_Z), an
     isomorphism of the 1-cycles onto Z^C(n-1, 2) and so injective on cycles
     over every F_p: a triple boundary lies in the span iff its cut does.
-    quotient_map_mod_p of the residual gives Q on the live rows, with
-    ker Q^T = its column span; a peeled row gets a zero row, as a lone
-    pivot gives it. A cut column is a residual column plus entries in
-    peeled rows, or has entries in peeled rows only, so ker Q^T holds every
-    cut column; as peeled + rank(residual) is their rank, it is their span.
-    By the closure of homology_Z, an elimination of the whole cut matrix
-    gives this same Q. R is Q^T with zero columns for the edges through
-    n-1, so it has betti1_mod_p(Y, p) rows, and the boundary of a < b < c
-    lies in the span iff R[:, bc] - R[:, ac] + R[:, ab] vanishes mod p.
-    Only the C(n,2) edge vectors are mapped, not the C(n,3) triples.
+    quotient_map_mod_p of the residual, on every live row, gives Q there
+    with ker Q^T = its column span; a peeled row gets a zero row, as a lone
+    pivot gives it. Off the peeled rows a cut column is a residual column
+    or zero, so ker Q^T holds every cut column, and as peeled +
+    rank(residual) is their rank, it is their span. By the closure of
+    homology_Z, eliminating the whole cut matrix gives this same Q. R is
+    Q^T with zero columns for the edges through n-1, so it has
+    betti1_mod_p(Y, p) rows, and the boundary of a < b < c lies in the
+    span iff R[:, bc] - R[:, ac] + R[:, ab] vanishes mod p. Only the
+    C(n,2) edge vectors are mapped, not the C(n,3) triples.
     """
     if Y.dim != 2:
         raise ValueError("shadow requires a 2-dimensional complex")
     n = Y.n
-    _, residual, live_rows = _peel_cycle_boundary(Y)
-    Q = quotient_map_mod_p(residual, p)
+    peeled, columns = _peel_cycle_boundary(Y)
+    live_rows = [r for r in range(math.comb(n - 1, 2)) if r not in peeled]
+    Q = quotient_map_mod_p(_residual(columns, live_rows), p)
     R = np.zeros((Q.shape[1], math.comb(n, 2)), dtype=np.int64)
     R[:, live_rows] = Q.T
     total = math.comb(n, 3)

@@ -29,6 +29,7 @@ from homoforge.exact_linalg import (
 from homoforge.homology import (
     HomologySummary,
     _peel_cycle_boundary,
+    _residual,
     betti1_mod_p,
     cycle_space_dim,
     homology_Z,
@@ -138,6 +139,21 @@ class TestHomologyZ:
         assert homology_Z(Y) == HomologySummary(171, (2,))
         assert homology_Z(Y) == raw_boundary_homology(Y)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sparse_input_at_large_n(self, d, monkeypatch):
+        # the builder's row state follows the faces, not the C(1999, d) rows:
+        # one face on 2,000 vertices is one residual column on its d+1 rows
+        shapes = []
+
+        def snf_shape(M):
+            shapes.append((M.rows, M.cols))
+            return smith_normal_form(M)
+
+        monkeypatch.setattr("homoforge.homology.smith_normal_form", snf_shape)
+        Y = Complex(2000, d, [tuple(range(d + 1))])
+        assert homology_Z(Y) == HomologySummary(math.comb(1999, d) - 1, ())
+        assert shapes == [(d + 1, 1)]
+
 
 def reference_residual(Y, peeled_rows):
     """The cut boundary columns that keep two or more rows outside
@@ -163,30 +179,32 @@ class TestPeelCycleBoundary:
     def test_closure_is_order_free(self, d, n, fraction, seed):
         all_faces = list(combinations(range(n), d + 1))
         picked = random.Random(seed).sample(all_faces, round(fraction * len(all_faces)))
-        peeled, residual, live_rows = _peel_cycle_boundary(Complex(n, d, picked))
-        again = _peel_cycle_boundary(Complex(n, d, picked[::-1]))
-        assert (peeled, residual, live_rows) == again
-        assert [list(c.items()) for c in residual.columns.values()] == [
-            list(c.items()) for c in again[1].columns.values()
-        ]
-        # live rows strictly increase and number the residual's rows
+        peeled, columns = _peel_cycle_boundary(Complex(n, d, picked))
+        assert (peeled, columns) == _peel_cycle_boundary(Complex(n, d, picked[::-1]))
+        # each column is its face's boundary rows, in boundary_column order
         top = math.comb(n - 1, d)
-        assert all(a < b for a, b in zip(live_rows, live_rows[1:]))
-        assert residual.rows == len(live_rows) == top - peeled
-        assert list(residual.columns) == list(range(residual.cols))
-        # closed: no column keeps exactly one live row, and every residual
-        # column is its boundary on the live rows, with two or more entries
-        peeled_rows = set(range(top)) - set(live_rows)
-        mapped = [[(live_rows[r], v) for r, v in c.items()]
-                  for c in residual.columns.values()]
-        assert mapped == reference_residual(Complex(n, d, picked), peeled_rows)
-        assert all(len(c) >= 2 for c in mapped)
-        assert not any(r in peeled_rows for c in mapped for r, _ in c)
+        assert all(r < top for r in peeled)
         assert all(
-            len([r for r in boundary_column(f, n) if r < top and r not in peeled_rows])
-            != 1
+            len([r for r in boundary_column(f, n) if r < top and r not in peeled]) != 1
             for f in picked
         )
+        # the live rows of homology_Z (those the columns meet) and of shadow
+        # (all of them) strictly increase and number the residual's rows; on
+        # either, every residual column is its cut boundary on the live rows,
+        # with two or more entries and none in a peeled row
+        for live_rows in (
+            sorted({r for c in columns for r in c if r < top} - peeled),
+            [r for r in range(top) if r not in peeled],
+        ):
+            assert all(a < b for a, b in zip(live_rows, live_rows[1:]))
+            residual = _residual(columns, live_rows)
+            assert residual.rows == len(live_rows)
+            assert list(residual.columns) == list(range(residual.cols))
+            mapped = [[(live_rows[r], v) for r, v in c.items()]
+                      for c in residual.columns.values()]
+            assert mapped == reference_residual(Complex(n, d, picked), peeled)
+            assert all(len(c) >= 2 for c in mapped)
+            assert not any(r in peeled for c in mapped for r, _ in c)
 
 
 class TestTriviality:
@@ -331,8 +349,10 @@ class TestShadow:
         # restricting to the edges that avoid n-1 is injective on cycles,
         # and each peeled row is one pivot
         Y = random_complex(n, num_faces, random.Random(seed))
-        peeled, residual, _ = _peel_cycle_boundary(Y)
-        assert peeled + rank_mod_p(residual, p) == rank_mod_p(boundary_matrix(Y), p)
+        peeled, columns = _peel_cycle_boundary(Y)
+        live_rows = [r for r in range(math.comb(n - 1, 2)) if r not in peeled]
+        residual = _residual(columns, live_rows)
+        assert len(peeled) + rank_mod_p(residual, p) == rank_mod_p(boundary_matrix(Y), p)
         assert quotient_map_mod_p(residual, p).shape[1] == betti1_mod_p(Y, p)
 
     # sha256 of shadow(sample_fixed_size(30, 461, seed), 3).to_bytes(), the
