@@ -308,11 +308,15 @@ def _require_dim2(Y: Complex) -> None:
 
 
 class ProcessStream:
-    """All C(n, dim+1) faces in a uniformly random order, emitted lazily.
+    """All C(n, dim+1) faces in a uniformly random order, drawn lazily.
 
     A seeded Fisher-Yates shuffle over face ranks, materialized only as far
-    as the stream has been consumed, so early hitting times touch a prefix.
-    Identical seed gives an identical order.
+    as the stream has been consumed. _ranks, its one draw loop, swaps step i
+    with i + randrange(total - i), inlined as CPython >= 3.10 computes it:
+    getrandbits(w.bit_length()) until below w = total - i. So every seed
+    keeps its order (TestDrawContract in tests/test_complexes.py). take_array
+    unranks a batch on numpy, in int64 or, for a table past it, Python ints;
+    take gives tuples of Python ints, as Complex requires.
     """
 
     __slots__ = ("n", "dim", "seed", "total", "_rng", "_swap", "_pos", "_table")
@@ -332,29 +336,51 @@ class ProcessStream:
     def __iter__(self) -> "ProcessStream":
         return self
 
+    def _ranks(self, m: int) -> list[int]:
+        """Face ranks of the next min(m, remaining) steps of the shuffle."""
+        start, total, swap = self._pos, self.total, self._swap
+        stop = max(start, min(start + m, total))
+        getrandbits, pop, out = self._rng.getrandbits, swap.pop, []
+        for i in range(start, stop):
+            w = total - i
+            k = w.bit_length()
+            r = getrandbits(k)
+            while r >= w:
+                r = getrandbits(k)
+            j = i + r
+            out.append(pop(j, j))
+            if r:
+                swap[j] = pop(i, i)
+        self._pos = stop
+        return out
+
     def __next__(self) -> tuple[int, ...]:
-        i = self._pos
-        if i >= self.total:
-            raise StopIteration
-        j = self._rng.randrange(i, self.total)
-        emitted = self._swap.pop(j, j)
-        if j != i:
-            self._swap[j] = self._swap.pop(i, i)
-        self._pos = i + 1
-        return _unrank(emitted, self._table)
+        for r in self._ranks(1):
+            return _unrank(r, self._table)
+        raise StopIteration
+
+    def take_array(self, m: int) -> np.ndarray:
+        """The next min(m, remaining) faces as the rows of an int32 array."""
+        rows = self._table
+        table = np.array(rows, dtype=np.int64 if max(map(max, rows)) < 2**63 else object)
+        r = np.array(self._ranks(m), dtype=table.dtype)
+        faces = np.empty((len(r), self.dim + 1), dtype=np.int32)
+        for i in range(self.dim + 1, 0, -1):
+            faces[:, i - 1] = v = np.searchsorted(table[i], r, side="right") - 1
+            r = r - table[i, v]
+        return faces
 
     def take(self, m: int) -> list[tuple[int, ...]]:
-        return [next(self) for _ in range(min(m, self.total - self._pos))]
+        return list(zip(*self.take_array(m).T.tolist()))
 
 
-def _bulk_complex(n: int, dim: int, faces: Iterable) -> Complex:
+def _bulk_complex(n: int, dim: int, faces: np.ndarray) -> Complex:
     """Complex(n, dim, faces) for faces valid by construction: no add_face checks."""
     Y = Complex(n, dim)
-    Y.faces = set(faces)
+    Y.faces = set(zip(*faces.T.tolist()))
     if (count := Y.edge_cover_count) is not None:
-        for f in Y.faces:
-            for r in triangle_edge_ranks(f):
-                count[r] += 1
+        edges = np.concatenate(triangle_edge_ranks(faces.T))
+        Y.edge_cover_count = np.bincount(edges, minlength=len(count)).tolist()
     return Y
 
 
@@ -363,7 +389,7 @@ def sample_fixed_size(n: int, M: int, seed: int, dim: int = 2) -> Complex:
     stream = ProcessStream(n, seed, dim=dim)
     if not 0 <= M <= stream.total:
         raise ValueError(f"M={M} out of range [0, {stream.total}]")
-    return _bulk_complex(n, dim, stream.take(M))
+    return _bulk_complex(n, dim, stream.take_array(M))
 
 
 def sample_binomial(n: int, p: float, seed: int, dim: int = 2) -> Complex:
@@ -376,13 +402,14 @@ def sample_binomial(n: int, p: float, seed: int, dim: int = 2) -> Complex:
         raise ValueError(f"probability p={p} outside [0, 1]")
     if n < dim + 1:
         raise ValueError(f"need n >= {dim + 1}, got n={n}")
-    from itertools import combinations
+    from itertools import chain, combinations
 
     faces = combinations(range(n), dim + 1) if p else ()
     if 0.0 < p < 1.0:
         draw = random.Random(seed).random
-        faces = [f for f in faces if draw() < p]
-    return _bulk_complex(n, dim, faces)
+        faces = (f for f in faces if draw() < p)
+    flat = np.fromiter(chain.from_iterable(faces), dtype=np.int32)
+    return _bulk_complex(n, dim, flat.reshape(-1, dim + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .complexes import (
-    Complex,
+    MAX_VERTICES,
     ProcessStream,
     _bulk_complex,
     sample_binomial,
@@ -50,43 +52,29 @@ class ProcessTrace:
 
 
 def hitting_time_trial(n: int, seed: int) -> ProcessTrace:
-    """Stream the process and locate the three hitting times exactly.
+    """Draw the process and locate the three hitting times exactly.
 
-    The stream counts only edge coverage up to h_delta, keeping its faces;
-    h_f2 and h_z are read from Smith forms of process prefixes. By universal
-    coefficients (H_0 is free), dim H_1(Y; F_2) is HomologySummary.betti_mod(2)
-    = betti + #{even invariant factors}. The 1-skeleton is fixed and B_1
-    only grows, so triviality over F_2 and over Z is monotone in the step,
-    and both fail before h_delta. So _first_step finds h_f2 from h_delta on
-    and h_z from h_f2 on; each probe is one homology_Z on a prefix, cached by
-    step. When H_1 is trivial at h_delta, the paper's w.h.p. case, that is
-    the only Smith form run.
+    _first_cover draws the faces into one array up to h_delta; h_f2 and h_z
+    are read from Smith forms of process prefixes, which slice or extend it.
+    By universal coefficients (H_0 is free), dim H_1(Y; F_2) is
+    HomologySummary.betti_mod(2) = betti + #{even invariant factors}. The
+    1-skeleton is fixed and B_1 only grows, so triviality over F_2 and over Z
+    is monotone in the step, and both fail before h_delta. So _first_step
+    finds h_f2 from h_delta on and h_z from h_f2 on; each probe is one
+    homology_Z on a prefix, cached by step. When H_1 is trivial at h_delta,
+    the paper's w.h.p. case, that is the only Smith form run.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+    if not 4 <= n <= MAX_VERTICES:
+        raise ValueError(f"need 4 <= n <= {MAX_VERTICES}, got {n}")
     stream = ProcessStream(n, seed, dim=2)
-    Y = Complex(n, dim=2)
-    cover_count = Y.edge_cover_count
-    assert cover_count is not None
-    faces: list[tuple[int, ...]] = []
-    uncovered = len(cover_count)
-    for f in stream:
-        for r in triangle_edge_ranks(f):
-            if cover_count[r] == 0:
-                uncovered -= 1
-            cover_count[r] += 1
-        Y.faces.add(f)
-        faces.append(f)
-        if uncovered == 0:
-            break
-    else:
-        raise AssertionError("process exhausted without covering every edge")
-    h_delta = len(faces)
-    summaries = {h_delta: homology_Z(Y)}
+    faces, h_delta = _first_cover(stream)
+    summaries: dict[int, HomologySummary] = {}
 
     def summary_at(step: int) -> HomologySummary:
+        nonlocal faces
         if step not in summaries:
-            faces.extend(stream.take(step - len(faces)))
+            if step > len(faces):
+                faces = np.concatenate((faces, stream.take_array(step - len(faces))))
             summaries[step] = homology_Z(_bulk_complex(n, 2, faces[:step]))
         return summaries[step]
 
@@ -107,6 +95,25 @@ def hitting_time_trial(n: int, seed: int) -> ProcessTrace:
         torsion_at_h_delta=summaries[h_delta].torsion,
         equal_flag=h_z == h_delta,
     )
+
+
+def _first_cover(stream: ProcessStream) -> tuple[np.ndarray, int]:
+    """The faces drawn from a fresh triangle stream, and h_delta among them.
+
+    It draws (E/3) ln E faces, the coupon-collector mean of h_delta for
+    E = C(n,2), then E/3 at a time; np.unique finds each edge's first cover.
+    """
+    edges = math.comb(stream.n, 2)
+    covered = np.zeros(edges, dtype=bool)
+    faces = new = stream.take_array(math.ceil(edges / 3 * math.log(edges)))
+    while True:
+        seen, first = np.unique(np.stack(triangle_edge_ranks(new.T), 1), return_index=True)
+        fresh = ~covered[seen]
+        covered[seen] = True
+        if covered.all():
+            return faces, len(faces) - len(new) + int(first[fresh].max()) // 3 + 1
+        new = stream.take_array(math.ceil(edges / 3))
+        faces = np.concatenate((faces, new))
 
 
 def _first_step(holds: Callable[[int], bool], lo: int, last: int) -> int:
@@ -230,19 +237,12 @@ def torsion_scan(
             f"reduce n (guideline: n <= {n_max} for d = {d})"
         )
     trace = TorsionTrace(n=n, d=d, seed=seed, factors_at={} if keep_factors else None)
-
-    def record(step: int, summary: HomologySummary) -> None:
+    faces = ProcessStream(n, seed, dim=d).take_array(total)
+    for step in [*range(0, total, stride), total]:
+        summary = homology_Z(_bulk_complex(n, d, faces[:step]))
         trace.samples.append((step, summary.betti, summary.ln_torsion_order()))
         if trace.factors_at is not None:
             trace.factors_at[step] = summary.torsion
-
-    Y = Complex(n, dim=d)
-    record(0, homology_Z(Y))
-    stream = ProcessStream(n, seed, dim=d)
-    for step, f in enumerate(stream, start=1):
-        Y.add_face(f)
-        if step % stride == 0 or step == total:
-            record(step, homology_Z(Y))
     return trace
 
 

@@ -248,6 +248,74 @@ class TestProcess:
         assert len(out) == math.comb(6, 4)
         assert set(out) == set(combinations(range(6), 4))
 
+    def test_ranks_past_int64(self):
+        # C(2000, 8) > 2^63, so the batch unranker runs on Python ints
+        assert ProcessStream(2000, 0, dim=7).take(2) == [
+            (612, 1071, 1142, 1179, 1215, 1253, 1289, 1408),
+            (16, 66, 403, 564, 1450, 1499, 1702, 1936),
+        ]
+
+    def test_sampled_faces_hold_python_ints(self):
+        # Complex rejects numpy ints, so the bulk builders must not leak them
+        for Y in (sample_fixed_size(12, 50, 3), sample_binomial(9, 0.3, 5, dim=3)):
+            assert Y.faces and all(type(v) is int for f in Y.faces for v in f)
+            assert all(type(c) is int for c in Y.edge_cover_count or ())
+
+
+def shuffle_oracle(n, dim, seed, steps):
+    """The first steps face ranks of a plain Fisher-Yates shuffle through randrange."""
+    total = math.comb(n, dim + 1)
+    rng, perm, out = random.Random(seed), {}, []
+    for i in range(min(steps, total)):
+        j = rng.randrange(i, total)
+        out.append(perm.get(j, j))
+        perm[j] = perm.get(i, i)
+    return out
+
+
+# a stream, then its calls: ("next", _), ("take", m) or ("take_array", m)
+STREAM_CALLS = st.tuples(
+    st.sampled_from([1, 2, 3]).flatmap(
+        lambda dim: st.tuples(st.integers(dim + 1, 30), st.just(dim))
+    ),
+    st.integers(0, 2**32),
+    st.lists(
+        st.tuples(st.sampled_from(["next", "take", "take_array"]), st.integers(0, 40)),
+        max_size=8,
+    ),
+)
+
+
+class TestDrawContract:
+    # C(2000, 4) > 2^32, so randrange draws getrandbits(k) with k > 32 there
+    @settings(max_examples=150, deadline=None)
+    @given(case=STREAM_CALLS)
+    @example(case=((2000, 3), 7, [("take", 5), ("next", 0), ("take_array", 9), ("next", 0)]))
+    @example(case=((4, 2), 1, [("take_array", 3), ("take", 5), ("next", 0)]))
+    def test_matches_plain_shuffle(self, case):
+        (n, dim), seed, calls = case
+        stream = ProcessStream(n, seed, dim)
+        steps = sum(1 if kind == "next" else m for kind, m in calls)
+        drawn = []
+        for kind, m in calls:
+            if kind == "next":
+                face = next(stream, None)
+                if face is None:
+                    assert len(drawn) == stream.total
+                    continue
+                faces = [face]
+            elif kind == "take":
+                faces = stream.take(m)
+            else:
+                arr = stream.take_array(m)
+                assert arr.shape == (len(arr), dim + 1)
+                faces = [tuple(f) for f in arr.tolist()]
+            if kind != "take_array":
+                assert all(type(v) is int for f in faces for v in f)
+            assert all(list(f) == sorted(set(f)) and f[-1] < n for f in faces)
+            drawn.extend(rank_face(f) for f in faces)
+        assert drawn == shuffle_oracle(n, dim, seed, steps)
+
 
 class TestBinomial:
     def test_extreme_probabilities(self):

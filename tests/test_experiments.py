@@ -1,5 +1,6 @@
 import csv
 import math
+from itertools import combinations
 
 import pytest
 
@@ -104,6 +105,33 @@ class TestHittingTimeTrial:
     def test_n_validated(self):
         with pytest.raises(ValueError):
             hitting_time_trial(3, 0)
+        with pytest.raises(ValueError):
+            hitting_time_trial(2001, 0)
+
+    @pytest.mark.parametrize(
+        "n, seeds",
+        [(4, range(10)), (5, range(100)), (6, range(110)), (12, range(300)),
+         (25, range(1025, 1045)), (40, range(10))],
+    )
+    def test_h_delta_matches_per_face_cover_loop(self, n, seeds):
+        # The trial draws ceil((E/3) ln E) faces, E = C(n,2), then ceil(E/3) at a
+        # time. At n=4 the first chunk is the whole process, at n=5 the second
+        # one is cut short by the end of the process, and at n = 5, 6 and 12
+        # some of these seeds have h_delta exactly at the end of a chunk.
+        edges = math.comb(n, 2)
+        first, later = math.ceil(edges / 3 * math.log(edges)), math.ceil(edges / 3)
+        ends = {min(first + k * later, math.comb(n, 3)) for k in range(edges)}
+        found = []
+        for seed in seeds:
+            covered = set()
+            for step, f in enumerate(ProcessStream(n, seed).take(math.comb(n, 3)), 1):
+                covered.update(combinations(f, 2))
+                if len(covered) == edges:
+                    break
+            assert hitting_time_trial(n, seed).h_delta == step, seed
+            found.append(step)
+        if n in (5, 6, 12):
+            assert ends.intersection(found)
 
 
 class TestShadowGrowth:
