@@ -27,7 +27,6 @@ from .experiments import (
     CampaignConfig,
     CampaignReport,
     ProcessTrace,
-    TorsionTrace,
     hitting_time_trial,
     run_campaign,
     torsion_scan,

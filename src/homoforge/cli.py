@@ -21,7 +21,7 @@ from dataclasses import fields, replace
 
 from . import experiments
 from .complexes import load_complex, save_complex, uncovered_edges
-from .exact_linalg import MatrixFormatError, read_matrix_file, smith_normal_form
+from .exact_linalg import read_matrix_file, smith_normal_form
 from .experiments import CampaignConfig, run_campaign
 from .homology import homology_Z, shadow
 from .shady_partitions import Thresholds, load_labels, verify_shady
@@ -174,16 +174,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except MatrixFormatError as exc:
+    except ValueError as exc:  # MatrixFormatError and json.JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AssertionError as exc:
+    except (OSError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

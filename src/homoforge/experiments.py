@@ -195,55 +195,35 @@ def uncovered_rank_trial(n: int, p_scale: float, seed: int) -> dict:
 # torsion scan in dimension d
 
 
-@dataclass
-class TorsionTrace:
-    """Sampled homology of one d-dimensional process run.
-
-    samples holds (step, betti of H_{d-1}, ln of the torsion order); exact
-    invariant factors are kept only when requested.
-    """
-
-    n: int
-    d: int
-    seed: int
-    samples: list[tuple[int, int, float]] = field(default_factory=list)
-    factors_at: dict[int, tuple[int, ...]] | None = None
+# The scan draws the whole process into one int32 array, and each sample's
+# Smith form has up to C(n, d+1) columns. C(100, 3) admits n <= 100 for d = 2
+# and n <= 45 for d = 3.
+_SCAN_MAX_FACES = 161_700
 
 
-_SCAN_MAX_ROWS = 500
-_SCAN_MAX_FACES = 4_000
+def torsion_scan(n: int, d: int, stride: int, seed: int) -> list[tuple[int, HomologySummary]]:
+    """H_{d-1}(.; Z) of the d-dimensional process as (step, summary) pairs.
 
-
-def torsion_scan(
-    n: int, d: int, stride: int, seed: int, keep_factors: bool = False
-) -> TorsionTrace:
-    """Run the d-dimensional process, sampling H_{d-1}(.; Z) every stride steps.
-
-    Step 0 and the final (full) complex are always sampled. Torsion orders
-    are recorded in log scale; full invariant factors only if keep_factors.
+    Step 0, every stride-th step and the final (full) complex are sampled.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     if stride < 1:
         raise ValueError("stride must be positive")
-    rows, total = math.comb(n, d), math.comb(n, d + 1)
-    if rows > _SCAN_MAX_ROWS or total > _SCAN_MAX_FACES:
+    total = math.comb(n, d + 1)
+    if total > _SCAN_MAX_FACES:
         n_max = d
-        while (math.comb(n_max + 1, d) <= _SCAN_MAX_ROWS
-               and math.comb(n_max + 1, d + 1) <= _SCAN_MAX_FACES):
+        while math.comb(n_max + 1, d + 1) <= _SCAN_MAX_FACES:
             n_max += 1
         raise ValueError(
-            f"scan at n={n}, d={d} needs Smith forms on {rows}x{total} matrices; "
+            f"scan at n={n}, d={d} draws {total} faces, above {_SCAN_MAX_FACES}; "
             f"reduce n (guideline: n <= {n_max} for d = {d})"
         )
-    trace = TorsionTrace(n=n, d=d, seed=seed, factors_at={} if keep_factors else None)
     faces = ProcessStream(n, seed, dim=d).take_array(total)
-    for step in [*range(0, total, stride), total]:
-        summary = homology_Z(_bulk_complex(n, d, faces[:step]))
-        trace.samples.append((step, summary.betti, summary.ln_torsion_order()))
-        if trace.factors_at is not None:
-            trace.factors_at[step] = summary.torsion
-    return trace
+    return [
+        (step, homology_Z(_bulk_complex(n, d, faces[:step])))
+        for step in [*range(0, total, stride), total]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -390,30 +370,31 @@ def _torsion_scan_rows(cfg: CampaignConfig, seed: int) -> tuple[dict, list[dict]
     peak_step is the first sample of largest torsion and vanish_step the first
     sample after the last torsion sighting; both are "" without torsion.
     """
-    t = torsion_scan(cfg.n, cfg.d, cfg.stride, seed, keep_factors=cfg.verbose_factors)
+    samples = torsion_scan(cfg.n, cfg.d, cfg.stride, seed)
     # step 0 comes first and is torsion-free. vanish is None from a torsion
     # sighting until the next torsion-free sample.
-    max_ln, peak, vanish = t.samples[0][2], "", ""
+    max_ln, peak, vanish = samples[0][1].ln_torsion_order(), "", ""
     trace_rows = []
-    for step, betti, ln_t in t.samples:
+    for step, summary in samples:
+        ln_t = summary.ln_torsion_order()
         if ln_t > max_ln:
             max_ln, peak = ln_t, step
         if ln_t > 0:
             vanish = None
         elif vanish is None:
             vanish = step
-        values = {"betti": betti, "ln_torsion": ln_t}
-        if t.factors_at is not None:
-            values["torsion_factors"] = ";".join(map(str, t.factors_at.get(step, ())))
+        values = {"betti": summary.betti, "ln_torsion": ln_t}
+        if cfg.verbose_factors:
+            values["torsion_factors"] = ";".join(map(str, summary.torsion))
         trace_rows += (
-            {"seed": t.seed, "step": step, "metric": metric, "value": value}
+            {"seed": seed, "step": step, "metric": metric, "value": value}
             for metric, value in values.items()
         )
     row = {
-        "n": t.n,
-        "d": t.d,
-        "seed": t.seed,
-        "samples": len(t.samples),
+        "n": cfg.n,
+        "d": cfg.d,
+        "seed": seed,
+        "samples": len(samples),
         "max_ln_torsion": max_ln,
         "peak_step": peak,
         "vanish_step": "" if vanish is None else vanish,

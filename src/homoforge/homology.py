@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex, TripleSet, triangle_edge_ranks, uncovered_edges
+from .complexes import Complex, TripleSet, _require_dim2, triangle_edge_ranks, uncovered_edges
 from .exact_linalg import (
     SparseIntMatrix,
     boundary_column,
@@ -52,8 +52,7 @@ class HomologySummary:
 
 def betti1_mod_p(Y: Complex, p: int) -> int:
     """dim H_1(Y; F_p) = C(n,2) - (n-1) - rank_p(boundary)."""
-    if Y.dim != 2:
-        raise ValueError("betti1_mod_p requires a 2-dimensional complex")
+    _require_dim2(Y)
     rank = rank_mod_p(boundary_matrix(Y), p)
     return math.comb(Y.n, 2) - (Y.n - 1) - rank
 
@@ -142,8 +141,6 @@ def is_H1_trivial_Z(Y: Complex) -> bool:
     An uncovered edge forces a nontrivial class over every coefficient
     group, so that count decides first; otherwise one Smith form does.
     """
-    if Y.dim != 2:
-        raise ValueError("is_H1_trivial_Z requires a 2-dimensional complex")
     if uncovered_edges(Y):
         return False
     return homology_Z(Y).trivial
@@ -177,8 +174,7 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     span iff R[:, bc] - R[:, ac] + R[:, ab] vanishes mod p. Only the
     C(n,2) edge vectors are mapped, not the C(n,3) triples.
     """
-    if Y.dim != 2:
-        raise ValueError("shadow requires a 2-dimensional complex")
+    _require_dim2(Y)
     n = Y.n
     peeled, columns = _peel_cycle_boundary(Y)
     live_rows = [r for r in range(math.comb(n - 1, 2)) if r not in peeled]

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .complexes import Complex, TripleSet, face_edges, json_int_field
+from .complexes import Complex, TripleSet, _require_dim2, face_edges, json_int_field
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,7 @@ class ShadyReport:
 
 def verify_shady(Y: Complex, bad: TripleSet, T: Thresholds) -> ShadyReport:
     """Check the bad side of a labeling: faces good, bad-triple budget, cone closure."""
-    if Y.dim != 2:
-        raise ValueError("verify_shady requires a 2-dimensional complex")
+    _require_dim2(Y)
     if Y.n != bad.n:
         raise ValueError(f"complex has n={Y.n} but labels have n={bad.n}")
     faces_good = not any(bad.contains(f) for f in Y.faces)

@@ -1,6 +1,7 @@
 import csv
 import math
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from homoforge.experiments import (
     uncovered_rank_trial,
 )
 from homoforge.homology import (
+    HomologySummary,
     betti1_mod_p,
     homology_Z,
     is_H1_trivial_Z,
@@ -181,47 +183,54 @@ class TestUncoveredRank:
         assert row["p"] == pytest.approx(1.5 * math.log(10) / 10)
 
 
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+
+
 class TestTorsionScan:
     def test_endpoints_sampled_and_clean(self):
-        tr = torsion_scan(8, 2, stride=7, seed=4)
-        steps = [s for s, _, _ in tr.samples]
-        assert steps[0] == 0
-        assert steps[-1] == math.comb(8, 3)
-        first, last = tr.samples[0], tr.samples[-1]
-        assert first[1] == math.comb(7, 2) and first[2] == 0.0
-        assert last[1] == 0 and last[2] == 0.0
+        samples = torsion_scan(8, 2, stride=7, seed=4)
+        assert samples[0][0] == 0
+        assert samples[-1][0] == math.comb(8, 3)
+        first, last = samples[0][1], samples[-1][1]
+        assert first.betti == math.comb(7, 2) and first.ln_torsion_order() == 0.0
+        assert last.betti == 0 and last.ln_torsion_order() == 0.0
 
     def test_stride_controls_sampling(self):
-        tr = torsion_scan(7, 2, stride=10, seed=1)
-        steps = [s for s, _, _ in tr.samples]
+        samples = torsion_scan(7, 2, stride=10, seed=1)
+        steps = [s for s, _ in samples]
         assert steps == [0] + list(range(10, 35, 10)) + [35]
 
-    def test_keep_factors(self):
-        tr = torsion_scan(7, 2, stride=10, seed=1, keep_factors=True)
-        assert tr.factors_at is not None
-        assert set(tr.factors_at) == {s for s, _, _ in tr.samples}
+    def test_samples_are_homology_of_prefixes(self):
+        for step, summary in torsion_scan(7, 2, stride=10, seed=1):
+            assert summary == homology_Z(prefix_complex(7, 1, step))
 
     def test_feasibility_guard(self):
+        # refused before the process is drawn
         with pytest.raises(ValueError, match="guideline"):
-            torsion_scan(40, 2, stride=5, seed=0)
+            torsion_scan(1000, 2, stride=5, seed=0)
 
-    @pytest.mark.parametrize("d, n_max", [(2, 29), (3, 15)])
+    @pytest.mark.parametrize("d, n_max", [(2, 100), (3, 45)])
     def test_feasibility_guard_boundary(self, d, n_max):
-        # the largest n both caps admit runs; one more is refused with that n
+        # the largest n the face limit admits runs; one more is refused with that n
         total = math.comb(n_max, d + 1)
-        tr = torsion_scan(n_max, d, stride=total, seed=0)
-        assert [s for s, _, _ in tr.samples] == [0, total]
+        samples = torsion_scan(n_max, d, stride=total, seed=0)
+        assert [s for s, _ in samples] == [0, total]
         with pytest.raises(ValueError, match=f"guideline: n <= {n_max} for d = {d}"):
             torsion_scan(n_max + 1, d, stride=5, seed=0)
+
+    def test_torsion_at_n60(self):
+        # seed 1 at n = 60 shows torsion at one sample of 24: Z/2 at step 1540
+        samples = torsion_scan(60, 2, stride=1540, seed=1)
+        assert [(s, h.torsion) for s, h in samples if h.torsion] == [(1540, (2,))]
 
     def test_d_validated(self):
         with pytest.raises(ValueError):
             torsion_scan(8, 1, stride=5, seed=0)
 
     def test_dimension_3(self):
-        tr = torsion_scan(7, 3, stride=15, seed=2)
-        assert tr.samples[0][1] == math.comb(6, 3)
-        assert tr.samples[-1][1] == 0
+        samples = torsion_scan(7, 3, stride=15, seed=2)
+        assert samples[0][1].betti == math.comb(6, 3)
+        assert samples[-1][1].betti == 0
 
     def test_peak_and_vanish_consistency(self):
         cfg = CampaignConfig(kind="torsion_scan", n=9, trials=1, seed_base=11, stride=3)
@@ -235,7 +244,7 @@ class TestTorsionScan:
             assert row["peak_step"] == "" and row["vanish_step"] == ""
 
     # Random scans rarely show torsion, so the row fields are checked on
-    # hand-built samples of (step, betti, ln torsion order).
+    # hand-built samples; ln torsion 0.7 stands for Z/2 and 1.1 for Z/3.
     @pytest.mark.parametrize("ln_torsion, max_ln, peak, vanish", [
         # a tie keeps the earlier step as the peak
         ([0, 0.7, 1.1, 1.1, 0], 1.1, 2, 4),
@@ -246,17 +255,29 @@ class TestTorsionScan:
         ([0, 0, 0], 0, "", ""),
     ])
     def test_row_from_samples(self, monkeypatch, ln_torsion, max_ln, peak, vanish):
-        samples = [(step, 1, ln_t) for step, ln_t in enumerate(ln_torsion)]
+        summary = {0: HomologySummary(1, ()), 0.7: HomologySummary(1, (2,)),
+                   1.1: HomologySummary(1, (3,))}
+        samples = list(enumerate(summary[ln_t] for ln_t in ln_torsion))
         monkeypatch.setattr(
-            experiments, "torsion_scan",
-            lambda n, d, stride, seed, keep_factors: experiments.TorsionTrace(
-                n, d, seed, samples),
+            experiments, "torsion_scan", lambda n, d, stride, seed: samples
         )
         cfg = CampaignConfig(kind="torsion_scan", n=7, trials=1, seed_base=0)
         row = run_campaign(cfg).rows[0]
-        assert row["max_ln_torsion"] == max_ln
+        assert row["max_ln_torsion"] == summary[max_ln].ln_torsion_order()
         assert (row["peak_step"], row["vanish_step"]) == (peak, vanish)
         assert row["torsion_seen"] == int(peak != "")
+
+    def test_matches_benchmark_reference(self, tmp_path):
+        # the benchmark's torsion_scan config; its reference lists seeds in order
+        cfg = CampaignConfig(
+            kind="torsion_scan", n=12, trials=5, seed_base=4000, d=2, stride=5,
+            out=str(tmp_path / "torsion_scan"),
+        )
+        run_campaign(cfg)
+        # a header, then one row per seed or 45 samples x 2 metrics per seed
+        for name, lines in (("torsion_scan", 1 + 5), ("torsion_scan_trace", 1 + 5 * 90)):
+            want = (REFERENCE / f"{name}.csv").read_text().splitlines(keepends=True)
+            assert (tmp_path / f"{name}.csv").read_text() == "".join(want[:lines])
 
 
 class TestWilsonInterval:
