@@ -16,6 +16,7 @@ import json
 import math
 import random
 from bisect import bisect_right
+from itertools import chain, repeat, starmap
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -45,6 +46,12 @@ def colex_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(math.comb(v, i) for v in range(n + 1)) for i in range(k + 1))
 
 
+def colex_array(n: int, k: int) -> np.ndarray:
+    """colex_table(n, k) as an array: int64, or Python ints past it."""
+    rows = colex_table(n, k)
+    return np.array(rows, dtype=np.int64 if max(map(max, rows)) < 2**63 else object)
+
+
 def _unrank(r: int, table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """The k-face of colex rank r, for table = colex_table(n, k) and r < C(n, k).
 
@@ -59,6 +66,17 @@ def _unrank(r: int, table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         face[i - 1] = hi
         r -= table[i][hi]
     return tuple(face)
+
+
+def _unrank_array(r, n: int, k: int) -> np.ndarray:
+    """The k-faces of the colex ranks r, each below C(n, k), as the rows of an int32 array."""
+    table = colex_array(n, k)
+    r = np.asarray(r, dtype=table.dtype)
+    faces = np.empty((len(r), k), dtype=np.int32)
+    for i in range(k, 0, -1):
+        faces[:, i - 1] = v = np.searchsorted(table[i], r, side="right") - 1
+        r = r - table[i, v]
+    return faces
 
 
 def _validate_face(face: Sequence[int], n: int, d: int) -> tuple[int, ...]:
@@ -258,6 +276,10 @@ class Complex:
     def num_faces(self) -> int:
         return len(self.faces)
 
+    def face_array(self) -> np.ndarray:
+        """The faces as the rows of an int32 array, in no particular order."""
+        return np.fromiter(chain.from_iterable(self.faces), np.int32).reshape(-1, self.dim + 1)
+
     def faces_sorted(self) -> list[tuple[int, ...]]:
         """Faces in colex order (deterministic column order for boundary maps).
 
@@ -361,26 +383,23 @@ class ProcessStream:
 
     def take_array(self, m: int) -> np.ndarray:
         """The next min(m, remaining) faces as the rows of an int32 array."""
-        rows = self._table
-        table = np.array(rows, dtype=np.int64 if max(map(max, rows)) < 2**63 else object)
-        r = np.array(self._ranks(m), dtype=table.dtype)
-        faces = np.empty((len(r), self.dim + 1), dtype=np.int32)
-        for i in range(self.dim + 1, 0, -1):
-            faces[:, i - 1] = v = np.searchsorted(table[i], r, side="right") - 1
-            r = r - table[i, v]
-        return faces
+        return _unrank_array(self._ranks(m), self.n, self.dim + 1)
 
     def take(self, m: int) -> list[tuple[int, ...]]:
         return list(zip(*self.take_array(m).T.tolist()))
+
+
+def edge_cover_counts(n: int, faces: np.ndarray) -> np.ndarray:
+    """The number of the triangles faces, an (m, 3) array, on each edge, by colex rank."""
+    return np.bincount(np.concatenate(triangle_edge_ranks(faces.T)), minlength=math.comb(n, 2))
 
 
 def _bulk_complex(n: int, dim: int, faces: np.ndarray) -> Complex:
     """Complex(n, dim, faces) for faces valid by construction: no add_face checks."""
     Y = Complex(n, dim)
     Y.faces = set(zip(*faces.T.tolist()))
-    if (count := Y.edge_cover_count) is not None:
-        edges = np.concatenate(triangle_edge_ranks(faces.T))
-        Y.edge_cover_count = np.bincount(edges, minlength=len(count)).tolist()
+    if Y.edge_cover_count is not None:
+        Y.edge_cover_count = edge_cover_counts(n, faces).tolist()
     return Y
 
 
@@ -392,24 +411,35 @@ def sample_fixed_size(n: int, M: int, seed: int, dim: int = 2) -> Complex:
     return _bulk_complex(n, dim, stream.take_array(M))
 
 
-def sample_binomial(n: int, p: float, seed: int, dim: int = 2) -> Complex:
-    """The binomial model: each face included independently with probability p.
+_DRAW_CHUNK = 1 << 16  # draws per chunk of _binomial_faces, to bound its float array
+
+
+def _binomial_faces(n: int, p: float, seed: int, dim: int = 2) -> np.ndarray:
+    """The faces of sample_binomial(n, p, seed, dim) as the rows of an int32 array.
 
     One rng.random() is drawn per face, in the lexicographic order of
-    combinations, and none when p is 0 or 1.
+    combinations, and none when p is 0 or 1. The face of lexicographic
+    index i mirrors, under v -> n-1-v, the face of colex rank total-1-i.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p={p} outside [0, 1]")
     if n < dim + 1:
         raise ValueError(f"need n >= {dim + 1}, got n={n}")
-    from itertools import chain, combinations
-
-    faces = combinations(range(n), dim + 1) if p else ()
-    if 0.0 < p < 1.0:
+    if not p:
+        return np.empty((0, dim + 1), dtype=np.int32)
+    total = math.comb(n, dim + 1)
+    picked = np.arange(total)
+    if p < 1.0:
         draw = random.Random(seed).random
-        faces = (f for f in faces if draw() < p)
-    flat = np.fromiter(chain.from_iterable(faces), dtype=np.int32)
-    return _bulk_complex(n, dim, flat.reshape(-1, dim + 1))
+        sizes = (min(_DRAW_CHUNK, total - s) for s in range(0, total, _DRAW_CHUNK))
+        below = [np.fromiter(starmap(draw, repeat((), k)), float, k) < p for k in sizes]
+        picked = np.flatnonzero(np.concatenate(below))
+    return n - 1 - _unrank_array(total - 1 - picked, n, dim + 1)[:, ::-1]
+
+
+def sample_binomial(n: int, p: float, seed: int, dim: int = 2) -> Complex:
+    """The binomial model: each face included independently with probability p."""
+    return _bulk_complex(n, dim, _binomial_faces(n, p, seed, dim))
 
 
 # ---------------------------------------------------------------------------

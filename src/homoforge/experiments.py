@@ -24,18 +24,16 @@ from typing import Callable
 
 import numpy as np
 
-from .complexes import (
-    MAX_VERTICES,
-    ProcessStream,
-    _bulk_complex,
-    sample_binomial,
-    sample_fixed_size,
-    triangle_edge_ranks,
-    uncovered_edges,
-)
-# boundary_vector_dense is unused here; perfbench/tracing.py wraps this binding.
-from .exact_linalg import boundary_vector_dense, check_prime  # noqa: F401
-from .homology import HomologySummary, homology_Z, shadow_size_deficit
+from .complexes import MAX_VERTICES, ProcessStream, _binomial_faces, edge_cover_counts
+from .complexes import triangle_edge_ranks
+from .exact_linalg import check_prime
+from .homology import HomologySummary, homology_Z_faces, shadow_size_deficit
+
+# perfbench/tracing.py wraps these bindings. Only sample_fixed_size is used
+# here: trials pass face arrays to homology_Z_faces, so the others' spans read 0.
+from .complexes import sample_binomial, sample_fixed_size  # noqa: F401
+from .exact_linalg import boundary_vector_dense  # noqa: F401
+from .homology import homology_Z  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,8 @@ def hitting_time_trial(n: int, seed: int) -> ProcessTrace:
     1-skeleton is fixed and B_1 only grows, so triviality over F_2 and over Z
     is monotone in the step, and both fail before h_delta. So _first_step
     finds h_f2 from h_delta on and h_z from h_f2 on; each probe is one
-    homology_Z on a prefix, cached by step. When H_1 is trivial at h_delta,
-    the paper's w.h.p. case, that is the only Smith form run.
+    homology_Z_faces on a prefix, cached by step. When H_1 is trivial at
+    h_delta, the paper's w.h.p. case, that is the only Smith form run.
     """
     if not 4 <= n <= MAX_VERTICES:
         raise ValueError(f"need 4 <= n <= {MAX_VERTICES}, got {n}")
@@ -75,7 +73,7 @@ def hitting_time_trial(n: int, seed: int) -> ProcessTrace:
         if step not in summaries:
             if step > len(faces):
                 faces = np.concatenate((faces, stream.take_array(step - len(faces))))
-            summaries[step] = homology_Z(_bulk_complex(n, 2, faces[:step]))
+            summaries[step] = homology_Z_faces(n, 2, faces[:step])
         return summaries[step]
 
     h_f2 = _first_step(
@@ -173,9 +171,9 @@ def uncovered_rank_trial(n: int, p_scale: float, seed: int) -> dict:
     asserted, while torsion-freeness and exact rank equality are recorded.
     """
     p = p_scale * math.log(n) / n
-    Y = sample_binomial(n, p, seed)
-    unc = len(uncovered_edges(Y))
-    summary = homology_Z(Y)
+    faces = _binomial_faces(n, p, seed)
+    unc = int((edge_cover_counts(n, faces) == 0).sum())
+    summary = homology_Z_faces(n, 2, faces)
     if summary.betti < unc:
         raise AssertionError(
             f"betti {summary.betti} below uncovered-edge count {unc} (n={n}, seed={seed})"
@@ -221,7 +219,7 @@ def torsion_scan(n: int, d: int, stride: int, seed: int) -> list[tuple[int, Homo
         )
     faces = ProcessStream(n, seed, dim=d).take_array(total)
     return [
-        (step, homology_Z(_bulk_complex(n, d, faces[:step])))
+        (step, homology_Z_faces(n, d, faces[:step]))
         for step in [*range(0, total, stride), total]
     ]
 

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex, TripleSet, _require_dim2, triangle_edge_ranks, uncovered_edges
+from .complexes import Complex, TripleSet, _require_dim2, colex_array
+from .complexes import triangle_edge_ranks, uncovered_edges
 from .exact_linalg import (
     SparseIntMatrix,
-    boundary_column,
     boundary_columns_dense,  # unused; perfbench's tracer wraps this binding
     boundary_matrix,
     quotient_map_mod_p,
@@ -57,57 +57,60 @@ def betti1_mod_p(Y: Complex, p: int) -> int:
     return math.comb(Y.n, 2) - (Y.n - 1) - rank
 
 
-def _peel_cycle_boundary(Y: Complex) -> tuple[set[int], list[tuple[int, ...]]]:
-    """Peeled rows and the rows of the residual columns, in colex order.
+def _peel_cycle_boundary(n: int, d: int, faces: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The lone-unit peel of the cut boundary of faces, an (m, d+1) array.
 
-    A face's rows (triangle_edge_ranks if d = 2, else boundary_column) have
-    signs +, -, +, ... in turn; its live rows are those below C(n-1, d) (see
-    homology_Z) not yet peeled. A column counts and XORs them, so at count 1
-    the XOR names its row, which is peeled from every column on it; the
-    columns left lone follow. Rows that no face meets cost nothing.
+    Returns (rows, peeled, pos, live): the rows below C(n-1, d) that the faces
+    meet, ascending, and a mask of the peeled ones; then, per residual column
+    in colex order, the index in rows of each boundary row of its face, the
+    i-th of sign (-1)^i, and a mask of its live rows (below C(n-1, d), unpeeled).
+
+    A column counts and XORs the indices of its live rows, so at count 1 the
+    XOR names its row. Each round peels every row that a lone column names
+    from every column on it, until no column is lone: the synchronous rounds of
+    parallel peeling (Jiang, Mitzenmacher and Thaler, 2014). A row that no
+    face meets costs nothing.
     """
-    n, d, top, faces = Y.n, Y.dim, math.comb(Y.n - 1, Y.dim), list(Y.faces)
-    face_rows = [
-        triangle_edge_ranks(f) if d == 2 else tuple(boundary_column(f, n)) for f in faces
-    ]
-    count, xor = [], []
-    on_row: dict[int, list[int]] = {}
-    for c, rows in enumerate(face_rows):
-        x = k = 0
-        for r in rows:
-            if r < top:
-                x ^= r
-                k += 1
-                on_row.setdefault(r, []).append(c)
-        count.append(k)
-        xor.append(x)
-    peeled = set()
-    lone = [c for c, k in enumerate(count) if k == 1]
-    while lone:
-        c = lone.pop()
-        if count[c] == 1:
-            r = xor[c]
-            peeled.add(r)
-            for c2 in on_row[r]:
-                k = count[c2] = count[c2] - 1
-                xor[c2] ^= r
-                if k == 1:
-                    lone.append(c2)
-    kept = sorted((c for c, k in enumerate(count) if k > 1), key=lambda c: faces[c][::-1])
-    return peeled, [face_rows[c] for c in kept]
+    if d == 2:
+        rows = np.stack(triangle_edge_ranks(faces.T), 1)
+    else:  # boundary_column: C(v_j, j+1) before the dropped vertex, C(v_j, j) after
+        table, j = colex_array(n, d), np.arange(1, d + 1)
+        kept, moved = table[j, faces[:, :-1]], table[j, faces[:, 1:]]
+        zero = np.zeros((len(faces), 1), dtype=table.dtype)
+        rows = np.cumsum(np.hstack((zero, kept)), 1)
+        rows += np.cumsum(np.hstack((moved, zero))[:, ::-1], 1)[:, ::-1]
+    live = rows < cycle_space_dim(n, d)
+    rows, number = np.unique(rows[live], return_inverse=True)
+    pos = np.zeros(live.shape, dtype=np.intp)
+    pos[live] = number
+    count = live.sum(1)
+    xor = np.bitwise_xor.reduce(pos, 1)
+    peeled = np.zeros(len(rows), dtype=bool)
+    while (lone := count == 1).any():
+        newly = np.zeros(len(rows), dtype=bool)
+        newly[xor[lone]] = True
+        peeled |= newly
+        hit = newly[pos] & live
+        live ^= hit
+        count -= hit.sum(1)
+        xor ^= np.bitwise_xor.reduce(np.where(hit, pos, 0), 1)
+    kept = np.flatnonzero(count > 1)
+    kept = kept[np.lexsort(faces[kept].T)]
+    return rows, peeled, pos[kept], live[kept]
 
 
-def _residual(columns: list[tuple[int, ...]], live_rows: list[int]) -> SparseIntMatrix:
-    """The columns on live_rows, renumbered; a column's i-th row has sign (-1)^i."""
-    index = {r: i for i, r in enumerate(live_rows)}
-    signed = ({index[r]: (-1) ** i for i, r in enumerate(c) if r in index} for c in columns)
-    m = SparseIntMatrix(len(live_rows), len(columns))
-    m.columns = dict(enumerate(signed))
+def _residual(pos, live, index, nrows: int) -> SparseIntMatrix:
+    """The residual columns of a peel's (pos, live) on nrows rows, renumbered by index[pos]."""
+    signs = [(-1) ** i for i in range(pos.shape[1])]
+    cols = zip(index[pos].tolist(), live.tolist())
+    m = SparseIntMatrix(nrows, len(pos))
+    m.columns = dict(enumerate({r: s for r, ok, s in zip(*c, signs) if ok} for c in cols))
     return m
 
 
-def homology_Z(Y: Complex) -> HomologySummary:
-    """H_{d-1}(Y; Z) of a complex with full (d-1)-skeleton, via Smith form.
+def homology_Z_faces(n: int, d: int, faces: np.ndarray) -> HomologySummary:
+    """H_{d-1}(Y; Z) via Smith form, for Y on n vertices with full (d-1)-skeleton
+    whose d-faces are faces, the distinct increasing rows of an integer array.
 
     The Smith form runs in cycle coordinates. The cones boundary(s + {n-1}),
     over the (d-1)-faces s that avoid vertex n-1, are a Z-basis of the
@@ -128,11 +131,16 @@ def homology_Z(Y: Complex) -> HomologySummary:
     once its lone stack is empty, before its first sweep column: the same
     columns and entries in the same order, less zero rows: the sweeps agree.
     """
-    peeled, columns = _peel_cycle_boundary(Y)
-    top = cycle_space_dim(Y.n, Y.dim)
-    live_rows = sorted({r for c in columns for r in c if r < top} - peeled)
-    snf = smith_normal_form(_residual(columns, live_rows))
-    return HomologySummary(top - len(peeled) - snf.rank, snf.torsion_factors())
+    rows, peeled, pos, live = _peel_cycle_boundary(n, d, faces)
+    met = np.bincount(pos[live], minlength=len(rows)) > 0
+    snf = smith_normal_form(_residual(pos, live, np.cumsum(met) - 1, int(met.sum())))
+    betti = cycle_space_dim(n, d) - int(peeled.sum()) - snf.rank
+    return HomologySummary(betti, snf.torsion_factors())
+
+
+def homology_Z(Y: Complex) -> HomologySummary:
+    """H_{d-1}(Y; Z) of a complex with full (d-1)-skeleton (homology_Z_faces)."""
+    return homology_Z_faces(Y.n, Y.dim, Y.face_array())
 
 
 def is_H1_trivial_Z(Y: Complex) -> bool:
@@ -160,7 +168,7 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     unchanged, equivalently iff its boundary lies in the span of the
     boundary columns of the existing faces.
 
-    Membership is tested in cycle coordinates (see homology_Z), an
+    Membership is tested in cycle coordinates (see homology_Z_faces), an
     isomorphism of the 1-cycles onto Z^C(n-1, 2) and so injective on cycles
     over every F_p: a triple boundary lies in the span iff its cut does.
     quotient_map_mod_p of the residual, on every live row, gives Q there
@@ -168,19 +176,24 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     pivot gives it. Off the peeled rows a cut column is a residual column
     or zero, so ker Q^T holds every cut column, and as peeled +
     rank(residual) is their rank, it is their span. By the closure of
-    homology_Z, eliminating the whole cut matrix gives this same Q. R is
-    Q^T with zero columns for the edges through n-1, so it has
-    betti1_mod_p(Y, p) rows, and the boundary of a < b < c lies in the
-    span iff R[:, bc] - R[:, ac] + R[:, ab] vanishes mod p. Only the
-    C(n,2) edge vectors are mapped, not the C(n,3) triples.
+    homology_Z_faces, eliminating the whole cut matrix gives this same Q.
+    R is Q with zero rows for the edges through n-1, so it has
+    betti1_mod_p(Y, p) columns, and the boundary of a < b < c lies in the
+    span iff R[bc] - R[ac] + R[ab] vanishes mod p. Its entries lie in
+    (-p, 2p), so that is 0 or p. Only the C(n,2) edge vectors are mapped,
+    not the C(n,3) triples.
     """
     _require_dim2(Y)
     n = Y.n
-    peeled, columns = _peel_cycle_boundary(Y)
-    live_rows = [r for r in range(math.comb(n - 1, 2)) if r not in peeled]
-    Q = quotient_map_mod_p(_residual(columns, live_rows), p)
-    R = np.zeros((Q.shape[1], math.comb(n, 2)), dtype=np.int64)
-    R[:, live_rows] = Q.T
+    rows, peeled, pos, live = _peel_cycle_boundary(n, 2, Y.face_array())
+    # the index of an unpeeled row among the unpeeled rows below C(n-1, 2)
+    index = rows - np.cumsum(peeled)
+    top = cycle_space_dim(n)
+    Q = quotient_map_mod_p(_residual(pos, live, index, top - int(peeled.sum())), p)
+    free = np.arange(math.comb(n, 2)) < top
+    free[rows[peeled]] = False
+    R = np.zeros((len(free), Q.shape[1]), dtype=np.int64)
+    R[free] = Q
     total = math.comb(n, 3)
     # colex order lists, for each c, the C(c, 2) edges ab below c in colex order
     v = np.arange(n, dtype=np.int64)
@@ -192,9 +205,8 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     member = np.empty(total, dtype=bool)
     for start in range(0, total, _SHADOW_CHUNK):
         chunk = slice(start, start + _SHADOW_CHUNK)
-        residual = R[:, bc[chunk]] - R[:, ac[chunk]] + R[:, ab[chunk]]
-        residual %= p
-        member[chunk] = ~residual.any(axis=0)
+        residual = R[bc[chunk]] - R[ac[chunk]] + R[ab[chunk]]
+        member[chunk] = ((residual == 0) | (residual == p)).all(1)
     return TripleSet.from_mask(n, member)
 
 

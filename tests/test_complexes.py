@@ -11,6 +11,7 @@ from homoforge.complexes import (
     Complex,
     ProcessStream,
     TripleSet,
+    _binomial_faces,
     _unrank,
     colex_table,
     complex_from_json,
@@ -321,6 +322,11 @@ class TestBinomial:
     def test_extreme_probabilities(self):
         assert sample_binomial(6, 0.0, 1).num_faces == 0
         assert sample_binomial(6, 1.0, 1).num_faces == math.comb(6, 3)
+
+    def test_zero_probability_at_any_size(self):
+        # p = 0 draws nothing and builds no rank table
+        assert _binomial_faces(10**9, 0.0, 1, dim=1000).shape == (0, 1001)
+        assert sample_binomial(MAX_VERTICES, 0.0, 1, dim=1000).num_faces == 0
 
     def test_probability_validated(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from homoforge.homology import (
     HomologySummary,
     betti1_mod_p,
     homology_Z,
+    homology_Z_faces,
     is_H1_trivial_Z,
     shadow_size_deficit,
 )
@@ -74,12 +75,12 @@ class TestHittingTimeTrial:
 
         calls = []
 
-        def counted(Y):
-            calls.append(Y.num_faces)
-            return homology_Z(Y)
+        def counted(n, d, faces):
+            calls.append(len(faces))
+            return homology_Z_faces(n, d, faces)
 
         monkeypatch.setattr(EchelonBasis, "insert", no_insert)
-        monkeypatch.setattr(experiments, "homology_Z", counted)
+        monkeypatch.setattr(experiments, "homology_Z_faces", counted)
         unequal = 0
         for seed in range(40):
             calls.clear()

@@ -4,6 +4,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from homoforge.homology import (
     betti1_mod_p,
     cycle_space_dim,
     homology_Z,
+    homology_Z_faces,
     is_H1_trivial_Z,
     shadow,
     shadow_size_deficit,
@@ -154,6 +156,14 @@ class TestHomologyZ:
         assert homology_Z(Y) == HomologySummary(math.comb(1999, d) - 1, ())
         assert shapes == [(d + 1, 1)]
 
+    @pytest.mark.parametrize("d", [6, 7])
+    def test_ranks_past_int64(self, d):
+        # the rows come from C(v, i) for i <= d: below 2^63 at d = 6, past it
+        # at d = 7 (C(2000, 7) ~ 2.5e19), where they are exact Python ints
+        Y = Complex(2000, d, [tuple(range(d + 1)), tuple(range(1999 - d, 2000))])
+        assert homology_Z(Y) == HomologySummary(math.comb(1999, d) - 2, ())
+        assert homology_Z(Y) == raw_boundary_homology(Y)
+
 
 def reference_residual(Y, peeled_rows):
     """The cut boundary columns that keep two or more rows outside
@@ -179,32 +189,54 @@ class TestPeelCycleBoundary:
     def test_closure_is_order_free(self, d, n, fraction, seed):
         all_faces = list(combinations(range(n), d + 1))
         picked = random.Random(seed).sample(all_faces, round(fraction * len(all_faces)))
-        peeled, columns = _peel_cycle_boundary(Complex(n, d, picked))
-        assert (peeled, columns) == _peel_cycle_boundary(Complex(n, d, picked[::-1]))
-        # each column is its face's boundary rows, in boundary_column order
+        faces = np.array(picked, dtype=np.int32).reshape(-1, d + 1)
+        peel = _peel_cycle_boundary(n, d, faces)
+        # the same face array in the reverse order peels to the same arrays
+        reverse = _peel_cycle_boundary(n, d, faces[::-1])
+        assert all(np.array_equal(a, b) for a, b in zip(peel, reverse))
+        rows, peeled, pos, live = peel
+        assert pos.shape == live.shape == (len(pos), d + 1)
+        # rows strictly increase below C(n-1, d); no face keeps one live row
         top = math.comb(n - 1, d)
-        assert all(r < top for r in peeled)
+        assert all(a < b for a, b in zip(rows, rows[1:])) and all(rows < top)
+        peeled_rows = set(rows[peeled].tolist())
         assert all(
-            len([r for r in boundary_column(f, n) if r < top and r not in peeled]) != 1
+            len([r for r in boundary_column(f, n) if r < top and r not in peeled_rows]) != 1
             for f in picked
         )
-        # the live rows of homology_Z (those the columns meet) and of shadow
-        # (all of them) strictly increase and number the residual's rows; on
-        # either, every residual column is its cut boundary on the live rows,
-        # with two or more entries and none in a peeled row
+        # on the live rows of homology_Z_faces (those the columns meet) and
+        # of shadow (all of them), every residual column is its cut boundary
+        # on the live rows, with two or more entries and none in a peeled row
         for live_rows in (
-            sorted({r for c in columns for r in c if r < top} - peeled),
-            [r for r in range(top) if r not in peeled],
+            sorted(set(rows[pos[live]].tolist())),
+            [r for r in range(top) if r not in peeled_rows],
         ):
-            assert all(a < b for a, b in zip(live_rows, live_rows[1:]))
-            residual = _residual(columns, live_rows)
+            index = np.searchsorted(np.array(live_rows, dtype=np.int64), rows)
+            residual = _residual(pos, live, index, len(live_rows))
             assert residual.rows == len(live_rows)
             assert list(residual.columns) == list(range(residual.cols))
             mapped = [[(live_rows[r], v) for r, v in c.items()]
                       for c in residual.columns.values()]
-            assert mapped == reference_residual(Complex(n, d, picked), peeled)
+            assert mapped == reference_residual(Complex(n, d, picked), peeled_rows)
             assert all(len(c) >= 2 for c in mapped)
-            assert not any(r in peeled for c in mapped for r, _ in c)
+            assert not any(r in peeled_rows for c in mapped for r, _ in c)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        n=st.integers(2, 9),
+        fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_face_array_matches_uncut_smith_form(self, d, n, fraction, seed):
+        # the kernel on a shuffled face array, read through a reversed view
+        # (as the binomial sampler returns it), against the uncut boundary
+        rng = random.Random(seed)
+        all_faces = list(combinations(range(n), d + 1))
+        picked = rng.sample(all_faces, round(fraction * len(all_faces)))
+        faces = np.array([f[::-1] for f in picked], dtype=np.int32).reshape(-1, d + 1)
+        Y = Complex(n, d, picked)
+        assert homology_Z_faces(n, d, faces[:, ::-1]) == raw_boundary_homology(Y)
 
 
 class TestTriviality:
@@ -349,10 +381,10 @@ class TestShadow:
         # restricting to the edges that avoid n-1 is injective on cycles,
         # and each peeled row is one pivot
         Y = random_complex(n, num_faces, random.Random(seed))
-        peeled, columns = _peel_cycle_boundary(Y)
-        live_rows = [r for r in range(math.comb(n - 1, 2)) if r not in peeled]
-        residual = _residual(columns, live_rows)
-        assert len(peeled) + rank_mod_p(residual, p) == rank_mod_p(boundary_matrix(Y), p)
+        rows, peeled, pos, live = _peel_cycle_boundary(n, 2, Y.face_array())
+        free = np.setdiff1d(np.arange(math.comb(n - 1, 2)), rows[peeled])
+        residual = _residual(pos, live, np.searchsorted(free, rows), len(free))
+        assert int(peeled.sum()) + rank_mod_p(residual, p) == rank_mod_p(boundary_matrix(Y), p)
         assert quotient_map_mod_p(residual, p).shape[1] == betti1_mod_p(Y, p)
 
     # sha256 of shadow(sample_fixed_size(30, 461, seed), 3).to_bytes(), the
