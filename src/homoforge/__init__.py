@@ -9,7 +9,6 @@ from .complexes import (
     sample_binomial,
     sample_fixed_size,
     save_complex,
-    triples_colex,
     uncovered_edges,
     unrank_triple,
 )

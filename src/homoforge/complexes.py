@@ -15,8 +15,7 @@ import functools
 import json
 import math
 import random
-from bisect import bisect_right
-from itertools import chain, repeat, starmap
+from itertools import chain, combinations, repeat, starmap
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -36,40 +35,25 @@ def rank_face(face: Sequence[int]) -> int:
 
 
 @functools.lru_cache(maxsize=32)
-def colex_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Binomial table with table[i][v] = C(v, i) for 0 <= i <= k, 0 <= v <= n.
+def colex_array(n: int, k: int) -> np.ndarray:
+    """Binomial table with table[i, v] = C(v, i) for 0 <= i <= k, 0 <= v <= n.
 
     Row i is nondecreasing in v, so the largest v with C(v, i) <= r is found
-    by bisection. Built on first use for each (n, k) and cached; tuples,
-    because every caller shares the cached table.
+    by bisection. int64, or Python ints once an entry passes 2^63. Built on
+    first use for each (n, k), cached and read-only: every caller shares it.
     """
-    return tuple(tuple(math.comb(v, i) for v in range(n + 1)) for i in range(k + 1))
+    rows = [[math.comb(v, i) for v in range(n + 1)] for i in range(k + 1)]
+    table = np.array(rows, dtype=np.int64 if max(map(max, rows)) < 2**63 else object)
+    table.setflags(write=False)
+    return table
 
 
-def colex_array(n: int, k: int) -> np.ndarray:
-    """colex_table(n, k) as an array: int64, or Python ints past it."""
-    rows = colex_table(n, k)
-    return np.array(rows, dtype=np.int64 if max(map(max, rows)) < 2**63 else object)
-
-
-def _unrank(r: int, table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """The k-face of colex rank r, for table = colex_table(n, k) and r < C(n, k).
+def _unrank_array(r, n: int, k: int) -> np.ndarray:
+    """The k-faces of the colex ranks r, each below C(n, k), as the rows of an int32 array.
 
     Greedy from the top: vertex i-1 is the largest v with C(v, i) <= r, and
     the remainder r - C(v, i) < C(v, i-1) puts the next vertex below v.
     """
-    k = len(table) - 1
-    face = [0] * k
-    hi = len(table[0])
-    for i in range(k, 0, -1):
-        hi = bisect_right(table[i], r, i - 1, hi) - 1
-        face[i - 1] = hi
-        r -= table[i][hi]
-    return tuple(face)
-
-
-def _unrank_array(r, n: int, k: int) -> np.ndarray:
-    """The k-faces of the colex ranks r, each below C(n, k), as the rows of an int32 array."""
     table = colex_array(n, k)
     r = np.asarray(r, dtype=table.dtype)
     faces = np.empty((len(r), k), dtype=np.int32)
@@ -101,21 +85,7 @@ def rank_triple(t: Sequence[int], n: int) -> int:
 def unrank_triple(r: int, n: int) -> tuple[int, int, int]:
     if not 0 <= r < math.comb(n, 3):
         raise ValueError(f"rank {r} out of range [0, C({n},3))")
-    return _unrank(r, colex_table(n, 3))  # type: ignore[return-value]
-
-
-def triples_colex(n: int) -> Iterator[tuple[int, int, int]]:
-    """All triples of [0, n) in colex order, i.e. by increasing rank_face."""
-    for c in range(2, n):
-        for b in range(1, c):
-            for a in range(b):
-                yield (a, b, c)
-
-
-def unrank_edge(r: int) -> tuple[int, int]:
-    # the largest b with C(b, 2) = b(b-1)/2 <= r
-    b = (1 + math.isqrt(1 + 8 * r)) // 2
-    return (r - b * (b - 1) // 2, b)
+    return tuple(_unrank_array([r], n, 3)[0].tolist())  # type: ignore[return-value]
 
 
 def triangle_edge_ranks(face: Sequence[int]) -> tuple[int, int, int]:
@@ -190,8 +160,7 @@ class TripleSet:
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         """Members in colex order."""
-        for r in self.ranks():
-            yield unrank_triple(r, self.n)
+        return map(tuple, _unrank_array(list(self.ranks()), self.n, 3).tolist())
 
     def payload(self) -> bytes:
         return self.bits.to_bytes((self.total + 7) // 8, "little")
@@ -228,8 +197,9 @@ class TripleSet:
 # the complex
 
 
-# Every later step works on vectors and matrices with C(n, 2) rows, so n is
-# bounded before the first of them (the edge counters) is allocated.
+# Every later step works on vectors and matrices with C(n, 2) rows or on
+# C(n, 3) face ranks, so Complex, ProcessStream and the binomial sampler bound
+# n before they draw or allocate anything.
 MAX_VERTICES = 2_000
 
 
@@ -237,13 +207,11 @@ class Complex:
     """An n-vertex complex with full (dim-1)-skeleton and an explicit face set.
 
     Lower-dimensional faces are implicit: every edge (and vertex) exists.
-    For dim=2 a per-edge count of incident triangles is maintained
-    incrementally, indexed by colex edge rank. n may be at most
-    MAX_VERTICES = 2,000; a larger n is a ValueError raised before anything
-    is allocated.
+    The faces are all it stores; edge_cover_counts(Y.n, Y.face_array())
+    counts the triangles on each edge. n may be at most MAX_VERTICES = 2,000.
     """
 
-    __slots__ = ("n", "dim", "faces", "edge_cover_count")
+    __slots__ = ("n", "dim", "faces")
 
     def __init__(self, n: int, dim: int = 2, faces: Iterable[Sequence[int]] = ()):
         if n < 1:
@@ -255,9 +223,6 @@ class Complex:
         self.n = n
         self.dim = dim
         self.faces: set[tuple[int, ...]] = set()
-        self.edge_cover_count: list[int] | None = (
-            [0] * math.comb(n, 2) if dim == 2 else None
-        )
         for f in faces:
             self.add_face(f)
 
@@ -267,9 +232,6 @@ class Complex:
         if t in self.faces:
             return False
         self.faces.add(t)
-        if self.edge_cover_count is not None:
-            for r in triangle_edge_ranks(t):
-                self.edge_cover_count[r] += 1
         return True
 
     @property
@@ -293,15 +255,10 @@ class Complex:
         other.n = self.n
         other.dim = self.dim
         other.faces = set(self.faces)
-        other.edge_cover_count = (
-            list(self.edge_cover_count) if self.edge_cover_count is not None else None
-        )
         return other
 
     @classmethod
     def full(cls, n: int, dim: int = 2) -> "Complex":
-        from itertools import combinations
-
         return cls(n, dim, combinations(range(n), dim + 1))
 
     def __eq__(self, other: object) -> bool:
@@ -316,8 +273,13 @@ class Complex:
 def uncovered_edges(Y: Complex) -> list[tuple[int, int]]:
     """Edges contained in no triangle, in colex order."""
     _require_dim2(Y)
-    assert Y.edge_cover_count is not None
-    return [unrank_edge(r) for r, c in enumerate(Y.edge_cover_count) if c == 0]
+    counts = edge_cover_counts(Y.n, Y.face_array())
+    return list(map(tuple, _unrank_array(np.flatnonzero(counts == 0), Y.n, 2).tolist()))
+
+
+def edge_cover_counts(n: int, faces: np.ndarray) -> np.ndarray:
+    """The number of the triangles faces, an (m, 3) array, on each edge, by colex rank."""
+    return np.bincount(np.concatenate(triangle_edge_ranks(faces.T)), minlength=math.comb(n, 2))
 
 
 def _require_dim2(Y: Complex) -> None:
@@ -336,16 +298,18 @@ class ProcessStream:
     as the stream has been consumed. _ranks, its one draw loop, swaps step i
     with i + randrange(total - i), inlined as CPython >= 3.10 computes it:
     getrandbits(w.bit_length()) until below w = total - i. So every seed
-    keeps its order (TestDrawContract in tests/test_complexes.py). take_array
-    unranks a batch on numpy, in int64 or, for a table past it, Python ints;
-    take gives tuples of Python ints, as Complex requires.
+    keeps its order (TestDrawContract in tests/test_complexes.py). Every
+    face comes from take_array, which unranks a batch with _unrank_array;
+    take and next give tuples of Python ints, as Complex requires.
     """
 
-    __slots__ = ("n", "dim", "seed", "total", "_rng", "_swap", "_pos", "_table")
+    __slots__ = ("n", "dim", "seed", "total", "_rng", "_swap", "_pos")
 
     def __init__(self, n: int, seed: int, dim: int = 2):
         if n < dim + 1:
             raise ValueError(f"need n >= {dim + 1} for dimension {dim}, got n={n}")
+        if n > MAX_VERTICES:
+            raise ValueError(f"need n <= {MAX_VERTICES}, got {n}")
         self.n = n
         self.dim = dim
         self.seed = seed
@@ -353,7 +317,6 @@ class ProcessStream:
         self._rng = random.Random(seed)
         self._swap: dict[int, int] = {}
         self._pos = 0
-        self._table = colex_table(n, dim + 1)
 
     def __iter__(self) -> "ProcessStream":
         return self
@@ -377,8 +340,8 @@ class ProcessStream:
         return out
 
     def __next__(self) -> tuple[int, ...]:
-        for r in self._ranks(1):
-            return _unrank(r, self._table)
+        for face in self.take(1):
+            return face
         raise StopIteration
 
     def take_array(self, m: int) -> np.ndarray:
@@ -389,17 +352,10 @@ class ProcessStream:
         return list(zip(*self.take_array(m).T.tolist()))
 
 
-def edge_cover_counts(n: int, faces: np.ndarray) -> np.ndarray:
-    """The number of the triangles faces, an (m, 3) array, on each edge, by colex rank."""
-    return np.bincount(np.concatenate(triangle_edge_ranks(faces.T)), minlength=math.comb(n, 2))
-
-
 def _bulk_complex(n: int, dim: int, faces: np.ndarray) -> Complex:
     """Complex(n, dim, faces) for faces valid by construction: no add_face checks."""
     Y = Complex(n, dim)
     Y.faces = set(zip(*faces.T.tolist()))
-    if Y.edge_cover_count is not None:
-        Y.edge_cover_count = edge_cover_counts(n, faces).tolist()
     return Y
 
 
@@ -425,15 +381,18 @@ def _binomial_faces(n: int, p: float, seed: int, dim: int = 2) -> np.ndarray:
         raise ValueError(f"probability p={p} outside [0, 1]")
     if n < dim + 1:
         raise ValueError(f"need n >= {dim + 1}, got n={n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"need n <= {MAX_VERTICES}, got {n}")
     if not p:
         return np.empty((0, dim + 1), dtype=np.int32)
     total = math.comb(n, dim + 1)
-    picked = np.arange(total)
     if p < 1.0:
         draw = random.Random(seed).random
         sizes = (min(_DRAW_CHUNK, total - s) for s in range(0, total, _DRAW_CHUNK))
         below = [np.fromiter(starmap(draw, repeat((), k)), float, k) < p for k in sizes]
         picked = np.flatnonzero(np.concatenate(below))
+    else:
+        picked = np.arange(total)
     return n - 1 - _unrank_array(total - 1 - picked, n, dim + 1)[:, ::-1]
 
 

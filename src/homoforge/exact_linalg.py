@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .complexes import Complex, colex_table, triangle_edge_ranks
+from .complexes import Complex, colex_array, triangle_edge_ranks
 
 
 class MatrixFormatError(ValueError):
@@ -163,15 +163,14 @@ def boundary_column(face: Sequence[int], n: int) -> dict[int, int]:
     Dropping vertex i of [v0 < ... < vd] contributes sign (-1)^i at the
     colex rank of the remaining face. A triangle's three ranks come in
     closed form from triangle_edge_ranks. Otherwise the vertices before v_i
-    keep their places (C(v_j, j+1), read from colex_table) and those after
-    it move down one (C(v_j, j)).
+    keep their places (C(v_j, j+1), read from colex_array) and those after
+    it move down one (C(v_j, j)). The ranks are Python ints.
     """
     if len(face) == 3:
         bc, ac, ab = triangle_edge_ranks(face)
         return {bc: 1, ac: -1, ab: 1}
-    table = colex_table(n, len(face))
-    kept = [table[j + 1][v] for j, v in enumerate(face)]
-    moved = [table[j][v] for j, v in enumerate(face)]
+    table, j = colex_array(n, len(face)), np.arange(len(face))
+    kept, moved = table[j + 1, face].tolist(), table[j, face].tolist()
     return {
         sum(kept[:i]) + sum(moved[i + 1 :]): -1 if i % 2 else 1
         for i in range(len(face))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -139,9 +140,7 @@ def test_criterion_4_shadow_conditions(shadow_samples):
 
 
 def _all_triples(n):
-    from homoforge.complexes import triples_colex
-
-    return list(triples_colex(n))
+    return sorted(combinations(range(n), 3), key=lambda t: t[::-1])
 
 
 def test_criterion_5_hitting_time_hard_chain(hitting_reports):

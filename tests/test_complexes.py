@@ -12,19 +12,17 @@ from homoforge.complexes import (
     ProcessStream,
     TripleSet,
     _binomial_faces,
-    _unrank,
-    colex_table,
+    _unrank_array,
     complex_from_json,
     complex_from_text,
     complex_to_json,
     complex_to_text,
+    edge_cover_counts,
     rank_face,
     rank_triple,
     sample_binomial,
     sample_fixed_size,
-    triples_colex,
     uncovered_edges,
-    unrank_edge,
     unrank_triple,
 )
 
@@ -32,6 +30,19 @@ from homoforge.complexes import (
 RANKED_FACES = st.sampled_from([1, 2, 3, 4]).flatmap(
     lambda k: st.tuples(st.just(k), st.integers(0, math.comb(MAX_VERTICES, k) - 1))
 )
+
+
+def colex_order(n, k):
+    """All k-subsets of range(n) in colex order: by reversed tuple."""
+    return sorted(combinations(range(n), k), key=lambda t: t[::-1])
+
+
+def unranked(ranks, n, k):
+    return [tuple(f) for f in _unrank_array(ranks, n, k).tolist()]
+
+
+def cover_counts(Y):
+    return edge_cover_counts(Y.n, Y.face_array()).tolist()
 
 
 class TestRanking:
@@ -44,8 +55,7 @@ class TestRanking:
     def test_colex_enumeration_oracle(self):
         # independent oracle: sort all triples by reversed tuple (colex order)
         for n in (4, 5, 7):
-            expected = sorted(combinations(range(n), 3), key=lambda t: t[::-1])
-            assert list(triples_colex(n)) == expected
+            expected = colex_order(n, 3)
             for r, t in enumerate(expected):
                 assert rank_triple(t, n) == r
                 assert unrank_triple(r, n) == t
@@ -59,7 +69,7 @@ class TestRanking:
     def test_monotone_in_colex(self):
         n = 8
         prev = -1
-        for t in triples_colex(n):
+        for t in colex_order(n, 3):
             r = rank_triple(t, n)
             assert r == prev + 1
             prev = r
@@ -76,21 +86,18 @@ class TestRanking:
 
     def test_edge_ranking(self):
         for n in (3, 6, 10):
-            expected = sorted(combinations(range(n), 2), key=lambda e: e[::-1])
-            for r, e in enumerate(expected):
-                assert unrank_edge(r) == e
-                assert rank_face(e) == r
+            expected = colex_order(n, 2)
+            assert unranked(range(len(expected)), n, 2) == expected
+            assert [rank_face(e) for e in expected] == list(range(len(expected)))
         last = math.comb(2000, 2) - 1
-        for r, e in [(0, (0, 1)), (1, (0, 2)), (last - 1, (1997, 1999)),
-                     (last, (1998, 1999))]:
-            assert unrank_edge(r) == e
-            assert rank_face(e) == r
+        ends = [(0, (0, 1)), (1, (0, 2)), (last - 1, (1997, 1999)), (last, (1998, 1999))]
+        assert unranked([r for r, _ in ends], 2000, 2) == [e for _, e in ends]
+        assert [rank_face(e) for _, e in ends] == [r for r, _ in ends]
 
     def test_general_face_round_trip(self):
         for k in (2, 3, 4):
-            table = colex_table(8, k)
-            for r in range(math.comb(8, k)):
-                assert rank_face(_unrank(r, table)) == r
+            faces = unranked(range(math.comb(8, k)), 8, k)
+            assert [rank_face(f) for f in faces] == list(range(math.comb(8, k)))
 
     @settings(max_examples=300, deadline=None)
     @given(kr=RANKED_FACES)
@@ -102,7 +109,7 @@ class TestRanking:
     @example(kr=(4, math.comb(MAX_VERTICES, 4) - 1))
     def test_unrank_round_trip_up_to_max_vertices(self, kr):
         k, r = kr
-        face = _unrank(r, colex_table(MAX_VERTICES, k))
+        (face,) = unranked([r], MAX_VERTICES, k)
         assert len(face) == k
         assert all(u < v for u, v in zip(face, face[1:]))
         assert rank_face(face) == r
@@ -128,6 +135,11 @@ class TestTripleSet:
         assert not ts.contains((5, 1, 0))
         assert list(ts.triples()) == [(1, 2, 3), (0, 2, 4)]
 
+    @pytest.mark.parametrize("n", [3, 7, 12])
+    def test_triples_unranks_every_rank(self, n):
+        assert list(TripleSet(n).triples()) == []
+        assert list(TripleSet(n).complement().triples()) == colex_order(n, 3)
+
     @pytest.mark.parametrize("t", [(0, 0, 1), (1, 1, 1), (0, 1, 6), (-1, 0, 1), (0, 1)])
     def test_contains_rejects_invalid_triple(self, t):
         with pytest.raises(ValueError):
@@ -150,13 +162,13 @@ class TestComplex:
         rng.shuffle(faces)
         prev_delta = 0
         for f in faces[:30]:
-            before = list(Y.edge_cover_count)
+            before = cover_counts(Y)
             assert Y.add_face(f)
-            after = Y.edge_cover_count
+            after = cover_counts(Y)
             bumped = [i for i in range(len(after)) if after[i] != before[i]]
             assert len(bumped) == 3
             assert all(after[i] == before[i] + 1 for i in bumped)
-            delta = min(Y.edge_cover_count)
+            delta = min(after)
             assert delta >= prev_delta
             prev_delta = delta
 
@@ -167,9 +179,9 @@ class TestComplex:
         assert Y.num_faces == 1
 
     def test_edge_cover_count_examples(self):
-        assert Complex(3, 2, [(0, 1, 2)]).edge_cover_count == [1, 1, 1]
-        assert Complex(4, 2, [(0, 1, 2)]).edge_cover_count == [1, 1, 1, 0, 0, 0]
-        assert set(Complex.full(4).edge_cover_count) == {2}  # each edge in n-2 triangles
+        assert cover_counts(Complex(3, 2, [(0, 1, 2)])) == [1, 1, 1]
+        assert cover_counts(Complex(4, 2, [(0, 1, 2)])) == [1, 1, 1, 0, 0, 0]
+        assert set(cover_counts(Complex.full(4))) == {2}  # each edge in n-2 triangles
 
     def test_uncovered_edges_examples(self):
         Y = Complex(4, 2, [(0, 1, 2)])
@@ -178,7 +190,7 @@ class TestComplex:
 
     def test_rp2_has_no_uncovered_edges(self, rp2):
         assert uncovered_edges(rp2) == []
-        assert set(rp2.edge_cover_count) == {2}
+        assert set(cover_counts(rp2)) == {2}
 
     def test_dim_guard(self):
         Y = Complex(5, dim=3)
@@ -229,6 +241,10 @@ class TestProcess:
         with pytest.raises(ValueError):
             ProcessStream(2, 0)
 
+    def test_n_too_large(self):
+        with pytest.raises(ValueError):
+            ProcessStream(MAX_VERTICES + 1, 0)
+
     def test_first_element_uniform(self):
         # Monte Carlo: each of the 10 triples should lead ~1/10 of streams
         trials = 100_000
@@ -260,7 +276,6 @@ class TestProcess:
         # Complex rejects numpy ints, so the bulk builders must not leak them
         for Y in (sample_fixed_size(12, 50, 3), sample_binomial(9, 0.3, 5, dim=3)):
             assert Y.faces and all(type(v) is int for f in Y.faces for v in f)
-            assert all(type(c) is int for c in Y.edge_cover_count or ())
 
 
 def shuffle_oracle(n, dim, seed, steps):
@@ -325,8 +340,13 @@ class TestBinomial:
 
     def test_zero_probability_at_any_size(self):
         # p = 0 draws nothing and builds no rank table
-        assert _binomial_faces(10**9, 0.0, 1, dim=1000).shape == (0, 1001)
+        assert _binomial_faces(MAX_VERTICES, 0.0, 1, dim=1000).shape == (0, 1001)
         assert sample_binomial(MAX_VERTICES, 0.0, 1, dim=1000).num_faces == 0
+
+    def test_n_too_large(self):
+        # checked before the p = 0 return, so nothing is drawn or allocated
+        with pytest.raises(ValueError):
+            _binomial_faces(MAX_VERTICES + 1, 0.0, 0)
 
     def test_probability_validated(self):
         with pytest.raises(ValueError):
@@ -347,7 +367,7 @@ class TestBinomial:
         [(20, 0.5, 3, 2), (30, 0.2267, 7000, 2), (6, 1.0, 1, 2), (9, 0.3, 5, 3), (8, 0.5, 2, 1)],
     )
     def test_matches_add_face_reference(self, n, p, seed, dim):
-        # one draw per face in combinations order, counts as add_face keeps them
+        # one draw per face in combinations order
         rng = random.Random(seed)
         ref = Complex(n, dim)
         for f in combinations(range(n), dim + 1):
@@ -355,20 +375,18 @@ class TestBinomial:
                 ref.add_face(f)
         Y = sample_binomial(n, p, seed, dim)
         assert Y == ref
-        assert Y.edge_cover_count == ref.edge_cover_count
 
     @pytest.mark.parametrize(
         "n, M, seed, dim",
         [(20, 300, 3, 2), (30, 461, 3000, 2), (6, 20, 1, 2), (9, 40, 5, 3), (8, 12, 2, 1)],
     )
     def test_fixed_size_matches_add_face_reference(self, n, M, seed, dim):
-        # the first M stream faces, counts as add_face keeps them
+        # the first M stream faces
         ref = Complex(n, dim)
         for f in ProcessStream(n, seed, dim).take(M):
             ref.add_face(f)
         Y = sample_fixed_size(n, M, seed, dim)
         assert Y == ref
-        assert Y.edge_cover_count == ref.edge_cover_count
 
     def test_fixed_size_model(self):
         Y = sample_fixed_size(10, 17, 5)

@@ -174,10 +174,24 @@ class TestUncoveredRank:
         assert homology_Z(Y).trivial
 
     def test_betti_dominates_uncovered(self):
-        # the hard inequality: asserted inside the trial, verified here too
+        # at p_scale 2 the covered edges connect all n vertices, so the
+        # trial's bound betti >= uncovered - (c - 1) is betti >= uncovered
         for seed in range(10):
             row = uncovered_rank_trial(12, 2.0, seed)
             assert row["betti"] >= row["uncovered"]
+
+    def test_bound_counts_covered_components(self):
+        # the covered edges leave c = 10 components, so betti 394 may fall
+        # below the 400 uncovered edges down to 391; with no face, c = n
+        row = uncovered_rank_trial(30, 0.05, 195)
+        assert (row["uncovered"], row["betti"]) == (400, 394)
+        row = uncovered_rank_trial(8, 0.0, 0)
+        assert (row["uncovered"], row["betti"]) == (28, 21)
+
+    def test_planted_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(experiments, "homology_Z_faces", lambda n, d, f: HomologySummary(0, ()))
+        with pytest.raises(AssertionError, match="below uncovered-edge count"):
+            uncovered_rank_trial(30, 0.05, 195)
 
     def test_probability_used(self):
         row = uncovered_rank_trial(10, 1.5, 0)
