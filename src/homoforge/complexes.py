@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import random
-from itertools import chain, combinations, repeat, starmap
+from itertools import accumulate, chain, combinations, repeat, starmap
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -88,21 +88,22 @@ def unrank_triple(r: int, n: int) -> tuple[int, int, int]:
     return tuple(_unrank_array([r], n, 3)[0].tolist())  # type: ignore[return-value]
 
 
-def triangle_edge_ranks(face: Sequence[int]) -> tuple[int, int, int]:
-    """Colex ranks of the edges bc, ac, ab of a triangle (a, b, c).
+def facet_ranks(n: int, faces: np.ndarray) -> np.ndarray:
+    """Colex ranks of the facets of faces, an (m, k) array of increasing rows.
 
-    The boundary of (a, b, c) is bc - ac + ab, so the ranks come in the order
-    of the signs +, -, +. Works elementwise on numpy arrays a, b, c too.
+    Column i holds the rank of each face less its vertex i, which has sign
+    (-1)^i in the face's boundary. Vertex j < i keeps its place, C(v_j, j+1),
+    and vertex j > i moves down one, C(v_j, j). The dtype is that of
+    colex_array(n, k-1): int64, or object (Python ints) once an entry passes
+    2^63. Each term is a 1-D gather from one row of the table.
     """
-    a, b, c = face
-    cc = c * (c - 1) // 2
-    return cc + b, cc + a, b * (b - 1) // 2 + a
-
-
-def face_edges(face: Sequence[int]) -> list[tuple[int, int]]:
-    """The three edges of a triangle (or all 2-subsets of a larger face)."""
-    k = len(face)
-    return [(face[i], face[j]) for i in range(k) for j in range(i + 1, k)]
+    k = faces.shape[1]
+    table = colex_array(n, k - 1)
+    kept = [table[j].take(faces[:, j - 1]) for j in range(1, k)]
+    moved = [table[j].take(faces[:, j]) for j in range(1, k)]
+    before = list(accumulate(kept))  # before[i-1]: the sum over j < i
+    after = list(accumulate(moved[::-1]))[::-1]  # after[i]: the sum over j > i
+    return np.stack([after[0], *map(np.add, before, after[1:]), before[-1]], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +151,14 @@ class TripleSet:
         """Membership of a triple in any vertex order; ValueError if it is invalid."""
         return self.contains_rank(rank_triple(sorted(t), self.n))
 
-    def ranks(self) -> Iterator[int]:
-        """Member ranks, lowest first."""
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+    def ranks(self) -> np.ndarray:
+        """Member ranks, ascending, as an int64 array."""
+        bytes_ = np.frombuffer(self.payload(), np.uint8)
+        return np.flatnonzero(np.unpackbits(bytes_, bitorder="little"))
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         """Members in colex order."""
-        return map(tuple, _unrank_array(list(self.ranks()), self.n, 3).tolist())
+        return map(tuple, _unrank_array(self.ranks(), self.n, 3).tolist())
 
     def payload(self) -> bytes:
         return self.bits.to_bytes((self.total + 7) // 8, "little")
@@ -279,7 +277,7 @@ def uncovered_edges(Y: Complex) -> list[tuple[int, int]]:
 
 def edge_cover_counts(n: int, faces: np.ndarray) -> np.ndarray:
     """The number of the triangles faces, an (m, 3) array, on each edge, by colex rank."""
-    return np.bincount(np.concatenate(triangle_edge_ranks(faces.T)), minlength=math.comb(n, 2))
+    return np.bincount(facet_ranks(n, faces).ravel(), minlength=math.comb(n, 2))
 
 
 def _require_dim2(Y: Complex) -> None:

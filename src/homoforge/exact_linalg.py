@@ -1,8 +1,9 @@
 """Exact linear algebra for boundary operators.
 
-A sparse matrix is stored by columns, each a {row: nonzero value} dict,
-and boundary_column gives the one column of a face. Both eliminations
-copy those columns into a column store with a row index and run one
+A sparse matrix is stored by columns, each a {row: nonzero value} dict.
+boundary_matrix and the dense builders take every face's rows from one
+complexes.facet_ranks call over the face array. Both eliminations
+copy a matrix's columns into a column store with a row index and run one
 sparse unit-pivot loop: over Z a unit is +-1, over F_p any nonzero
 entry. The loop peels columns with a single unit entry first, which
 needs no fill-in (homology peels those of its cycle coordinates before
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .complexes import Complex, colex_array, triangle_edge_ranks
+from .complexes import Complex, facet_ranks
 
 
 class MatrixFormatError(ValueError):
@@ -157,37 +158,20 @@ def write_matrix_file(m: SparseIntMatrix, path: str) -> None:
 # boundary operators
 
 
-def boundary_column(face: Sequence[int], n: int) -> dict[int, int]:
-    """{row rank: sign} of the boundary of one face on n vertices.
-
-    Dropping vertex i of [v0 < ... < vd] contributes sign (-1)^i at the
-    colex rank of the remaining face. A triangle's three ranks come in
-    closed form from triangle_edge_ranks. Otherwise the vertices before v_i
-    keep their places (C(v_j, j+1), read from colex_array) and those after
-    it move down one (C(v_j, j)). The ranks are Python ints.
-    """
-    if len(face) == 3:
-        bc, ac, ab = triangle_edge_ranks(face)
-        return {bc: 1, ac: -1, ab: 1}
-    table, j = colex_array(n, len(face)), np.arange(len(face))
-    kept, moved = table[j + 1, face].tolist(), table[j, face].tolist()
-    return {
-        sum(kept[:i]) + sum(moved[i + 1 :]): -1 if i % 2 else 1
-        for i in range(len(face))
-    }
-
-
 def boundary_matrix(Y: Complex) -> SparseIntMatrix:
     """Boundary operator from d-faces of Y to the full set of (d-1)-faces.
 
     Rows: all C(n, d) faces of dimension d-1 in colex order. Columns: the
-    faces of Y in colex order, each its boundary_column.
+    faces of Y in colex order, as in faces_sorted, from one facet_ranks call:
+    a column maps the rank of its face less vertex i to (-1)^i, as Python ints.
     """
     if Y.dim < 1:
         raise ValueError("boundary requires dim >= 1")
-    faces = Y.faces_sorted()
-    m = SparseIntMatrix(math.comb(Y.n, Y.dim), len(faces))
-    m.columns = {col: boundary_column(f, Y.n) for col, f in enumerate(faces)}
+    faces = Y.face_array()
+    ranks = facet_ranks(Y.n, faces[np.lexsort(faces.T)]).tolist()
+    signs = [(-1) ** i for i in range(Y.dim + 1)]
+    m = SparseIntMatrix(math.comb(Y.n, Y.dim), len(ranks))
+    m.columns = {col: dict(zip(row, signs)) for col, row in enumerate(ranks)}
     return m
 
 
@@ -195,20 +179,15 @@ def boundary_columns_dense(
     faces: Iterable[Sequence[int]], n: int, d: int
 ) -> np.ndarray:
     """Dense int64 matrix whose columns are the boundaries of the given d-faces."""
-    face_list = list(faces)
-    out = np.zeros((math.comb(n, d), len(face_list)), dtype=np.int64)
-    for col, f in enumerate(face_list):
-        for row, sign in boundary_column(f, n).items():
-            out[row, col] = sign
+    ranks = facet_ranks(n, np.array(list(faces), dtype=np.int64).reshape(-1, d + 1))
+    out = np.zeros((math.comb(n, d), len(ranks)), dtype=np.int64)
+    out[ranks, np.arange(len(ranks))[:, None]] = [(-1) ** i for i in range(d + 1)]
     return out
 
 
 def boundary_vector_dense(face: Sequence[int], n: int) -> np.ndarray:
     """Boundary of a single face as a dense int64 column."""
-    v = np.zeros(math.comb(n, len(face) - 1), dtype=np.int64)
-    for row, sign in boundary_column(face, n).items():
-        v[row] = sign
-    return v
+    return boundary_columns_dense([face], n, len(face) - 1)[:, 0]
 
 
 # ---------------------------------------------------------------------------

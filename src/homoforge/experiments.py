@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .complexes import MAX_VERTICES, Complex, ProcessStream, _binomial_faces, _unrank_array
-from .complexes import edge_cover_counts, triangle_edge_ranks
+from .complexes import edge_cover_counts, facet_ranks
 from .exact_linalg import boundary_matrix, check_prime, rank_mod_p
 from .homology import HomologySummary, homology_Z_faces, shadow_size_deficit
 
@@ -105,7 +105,7 @@ def _first_cover(stream: ProcessStream) -> tuple[np.ndarray, int]:
     covered = np.zeros(edges, dtype=bool)
     faces = new = stream.take_array(math.ceil(edges / 3 * math.log(edges)))
     while True:
-        seen, first = np.unique(np.stack(triangle_edge_ranks(new.T), 1), return_index=True)
+        seen, first = np.unique(facet_ranks(stream.n, new), return_index=True)
         fresh = ~covered[seen]
         covered[seen] = True
         if covered.all():

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex, TripleSet, _require_dim2, colex_array
-from .complexes import triangle_edge_ranks, uncovered_edges
+from .complexes import Complex, TripleSet, _require_dim2, facet_ranks, uncovered_edges
 from .exact_linalg import (
     SparseIntMatrix,
     boundary_columns_dense,  # unused; perfbench's tracer wraps this binding
@@ -71,14 +70,7 @@ def _peel_cycle_boundary(n: int, d: int, faces: np.ndarray) -> tuple[np.ndarray,
     parallel peeling (Jiang, Mitzenmacher and Thaler, 2014). A row that no
     face meets costs nothing.
     """
-    if d == 2:
-        rows = np.stack(triangle_edge_ranks(faces.T), 1)
-    else:  # boundary_column: C(v_j, j+1) before the dropped vertex, C(v_j, j) after
-        table, j = colex_array(n, d), np.arange(1, d + 1)
-        kept, moved = table[j, faces[:, :-1]], table[j, faces[:, 1:]]
-        zero = np.zeros((len(faces), 1), dtype=table.dtype)
-        rows = np.cumsum(np.hstack((zero, kept)), 1)
-        rows += np.cumsum(np.hstack((moved, zero))[:, ::-1], 1)[:, ::-1]
+    rows = facet_ranks(n, faces)
     live = rows < cycle_space_dim(n, d)
     rows, number = np.unique(rows[live], return_inverse=True)
     pos = np.zeros(live.shape, dtype=np.intp)
@@ -195,13 +187,16 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     R = np.zeros((len(free), Q.shape[1]), dtype=np.int64)
     R[free] = Q
     total = math.comb(n, 3)
-    # colex order lists, for each c, the C(c, 2) edges ab below c in colex order
+    # colex order lists, for each c, the C(c, 2) edges ab below c in colex
+    # order, so this enumeration already gives each triple's edge ranks: ab is
+    # its index within the block of c, and bc, ac = C(c, 2) + b, C(c, 2) + a
     v = np.arange(n, dtype=np.int64)
     c = np.repeat(v, v * (v - 1) // 2)
     ab = np.arange(total, dtype=np.int64) - c * (c - 1) * (c - 2) // 6
     edge_b = np.repeat(v, v)
     edge_a = np.arange(edge_b.size, dtype=np.int64) - edge_b * (edge_b - 1) // 2
-    bc, ac, ab = triangle_edge_ranks((edge_a[ab], edge_b[ab], c))
+    cc = c * (c - 1) // 2
+    bc, ac = cc + edge_b[ab], cc + edge_a[ab]
     member = np.empty(total, dtype=bool)
     for start in range(0, total, _SHADOW_CHUNK):
         chunk = slice(start, start + _SHADOW_CHUNK)

@@ -15,7 +15,10 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .complexes import Complex, TripleSet, _require_dim2, face_edges, json_int_field
+import numpy as np
+
+from .complexes import Complex, TripleSet, _require_dim2, _unrank_array, edge_cover_counts
+from .complexes import json_int_field
 
 
 @dataclass(frozen=True)
@@ -81,17 +84,14 @@ def cascade(bad: TripleSet, T: Thresholds) -> CascadeResult:
     An edge is bad iff it lies in more than theta_edge bad triples; a
     vertex is bad iff it lies in more than theta_vertex bad edges.
     """
-    edge_counts: dict[tuple[int, int], int] = {}
-    for t in bad.triples():
-        for e in face_edges(t):
-            edge_counts[e] = edge_counts.get(e, 0) + 1
-    bad_edges = frozenset(e for e, c in edge_counts.items() if c > T.theta_edge)
-    vertex_counts: dict[int, int] = {}
-    for a, b in bad_edges:
-        vertex_counts[a] = vertex_counts.get(a, 0) + 1
-        vertex_counts[b] = vertex_counts.get(b, 0) + 1
-    bad_vertices = frozenset(v for v, c in vertex_counts.items() if c > T.theta_vertex)
-    return CascadeResult(bad_edges=bad_edges, bad_vertices=bad_vertices)
+    n = bad.n
+    edge_counts = edge_cover_counts(n, _unrank_array(bad.ranks(), n, 3))
+    edges = _unrank_array(np.flatnonzero(edge_counts > T.theta_edge), n, 2)
+    vertex_counts = np.bincount(edges.ravel(), minlength=n)
+    return CascadeResult(
+        bad_edges=frozenset(map(tuple, edges.tolist())),
+        bad_vertices=frozenset(np.flatnonzero(vertex_counts > T.theta_vertex).tolist()),
+    )
 
 
 def _has_good_cone(bad: TripleSet, t: tuple[int, int, int]) -> bool:

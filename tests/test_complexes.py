@@ -2,6 +2,7 @@ import math
 import random
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from homoforge.complexes import (
     complex_to_json,
     complex_to_text,
     edge_cover_counts,
+    facet_ranks,
     rank_face,
     rank_triple,
     sample_binomial,
@@ -126,6 +128,35 @@ class TestRanking:
                 unrank_triple(math.comb(n, 3), n)
 
 
+def facet_oracle(faces):
+    """rank_face of each face less its vertex i, in column i."""
+    return [[rank_face(f[:i] + f[i + 1 :]) for i in range(len(f))] for f in faces]
+
+
+class TestFacetRanks:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_face_small_n(self, d):
+        for n in range(d + 1, 10):
+            faces = list(combinations(range(n), d + 1))
+            got = facet_ranks(n, np.array(faces, dtype=np.int32))
+            assert got.dtype == np.int64
+            assert got.tolist() == facet_oracle(faces)
+
+    @pytest.mark.parametrize("d", [2, 6, 7])
+    def test_max_vertices(self, d):
+        # C(2000, 7) > 2^63, so d = 7 reads the object table of Python ints
+        n, rng = MAX_VERTICES, random.Random(d)
+        faces = [tuple(range(d + 1)), tuple(range(n - d - 1, n))]
+        faces += [tuple(sorted(rng.sample(range(n), d + 1))) for _ in range(5)]
+        got = facet_ranks(n, np.array(faces, dtype=np.int32))
+        assert got.dtype == (object if d == 7 else np.int64)
+        assert got.tolist() == facet_oracle(faces)
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_no_faces(self, k):
+        assert facet_ranks(MAX_VERTICES, np.empty((0, k), dtype=np.int32)).shape == (0, k)
+
+
 class TestTripleSet:
     def test_contains_any_vertex_order(self):
         ts = TripleSet.of(6, [(4, 0, 2), (1, 2, 3)])
@@ -146,6 +177,19 @@ class TestTripleSet:
             TripleSet(6).contains(t)
         with pytest.raises(ValueError):
             TripleSet.of(6, [t])
+
+    @pytest.mark.parametrize("n", [3, 7, 12])
+    def test_ranks_match_bit_scan(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            bits = rng.getrandbits(math.comb(n, 3))
+            ranks = TripleSet(n, bits).ranks()
+            assert ranks.dtype == np.int64
+            assert ranks.tolist() == [r for r in range(bits.bit_length()) if bits >> r & 1]
+
+    def test_ranks_of_full_set(self):
+        full = TripleSet(80).complement()
+        assert np.array_equal(full.ranks(), np.arange(math.comb(80, 3)))
 
     def test_complement(self):
         ts = TripleSet.of(5, [(0, 1, 2)])
@@ -248,11 +292,10 @@ class TestProcess:
     def test_first_element_uniform(self):
         # Monte Carlo: each of the 10 triples should lead ~1/10 of streams
         trials = 100_000
-        counts = {}
-        for seed in range(trials):
-            first = next(ProcessStream(5, seed))
-            counts[first] = counts.get(first, 0) + 1
-        for t, c in counts.items():
+        first = [ProcessStream(5, seed)._ranks(1)[0] for seed in range(trials)]
+        faces, counts = np.unique(_unrank_array(first, 5, 3), axis=0, return_counts=True)
+        assert len(faces) == 10
+        for t, c in zip(faces.tolist(), counts.tolist()):
             assert abs(c / trials - 0.1) < 0.01, (t, c)
 
     def test_lazy_prefix_only(self):

@@ -225,12 +225,14 @@ class TestBoundaryMatrix:
                 assert m.columns == expected
 
     def test_dense_builders_agree(self):
-        Y = random_complex(7, 10, random.Random(1))
-        sparse = boundary_matrix(Y)
-        dense = boundary_columns_dense(Y.faces_sorted(), Y.n, 2)
-        assert sparse.to_dense() == dense.tolist()
-        one = boundary_vector_dense(Y.faces_sorted()[0], Y.n)
-        assert one.tolist() == [row[0] for row in sparse.to_dense()]
+        rng = random.Random(1)
+        for d in (1, 2, 3):
+            Y = Complex(7, d, rng.sample(list(combinations(range(7), d + 1)), 10))
+            sparse = boundary_matrix(Y)
+            dense = boundary_columns_dense(Y.faces_sorted(), Y.n, d)
+            assert sparse.to_dense() == dense.tolist()
+            one = boundary_vector_dense(Y.faces_sorted()[0], Y.n)
+            assert one.tolist() == [row[0] for row in sparse.to_dense()]
 
 
 class TestRankModP:

@@ -20,7 +20,6 @@ from homoforge.complexes import (
     uncovered_edges,
 )
 from homoforge.exact_linalg import (
-    boundary_column,
     boundary_matrix,
     quotient_map_mod_p,
     rank_mod_p,
@@ -169,9 +168,8 @@ def reference_residual(Y, peeled_rows):
     peeled_rows, in colex order, on the original row numbers."""
     top = math.comb(Y.n - 1, Y.dim)
     cols = []
-    for f in Y.faces_sorted():
-        col = {r: v for r, v in boundary_column(f, Y.n).items()
-               if r < top and r not in peeled_rows}
+    for column in boundary_matrix(Y).columns.values():
+        col = {r: v for r, v in column.items() if r < top and r not in peeled_rows}
         if len(col) >= 2:
             cols.append(list(col.items()))
     return cols
@@ -200,8 +198,8 @@ class TestPeelCycleBoundary:
         assert all(a < b for a, b in zip(rows, rows[1:])) and all(rows < top)
         peeled_rows = set(rows[peeled].tolist())
         assert all(
-            len([r for r in boundary_column(f, n) if r < top and r not in peeled_rows]) != 1
-            for f in picked
+            len([r for r in column if r < top and r not in peeled_rows]) != 1
+            for column in boundary_matrix(Complex(n, d, picked)).columns.values()
         )
         # on the live rows of homology_Z_faces (those the columns meet) and
         # of shadow (all of them), every residual column is its cut boundary
