@@ -1,8 +1,9 @@
 """Simplicial complexes with a full codimension-1 skeleton.
 
 Vertices are 0-based internally; all file formats and CLI output use
-1-based labels. Faces of dimension d are sorted (d+1)-tuples of vertex
-ids, indexed by their colexicographic rank.
+1-based labels. A face of dimension d is a strictly increasing (d+1)-tuple
+of vertex ids, ranked colexicographically (rank_face). A Complex holds its
+d-faces as the rows of one read-only int32 array in colex order.
 
 TripleSet is the one bitset over the C(n,3) triple ranks, used for shadows
 and for the bad side of a partition. A shadow .bits file holds its
@@ -15,7 +16,7 @@ import functools
 import json
 import math
 import random
-from itertools import accumulate, chain, combinations, repeat, starmap
+from itertools import accumulate, repeat, starmap
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -205,64 +206,56 @@ class Complex:
     """An n-vertex complex with full (dim-1)-skeleton and an explicit face set.
 
     Lower-dimensional faces are implicit: every edge (and vertex) exists.
-    The faces are all it stores; edge_cover_counts(Y.n, Y.face_array())
-    counts the triangles on each edge. n may be at most MAX_VERTICES = 2,000.
+    faces holds the distinct dim-faces as the rows of a read-only int32
+    array in colex order, so equal complexes have equal arrays. They may be
+    given as an iterable of faces, each checked by _validate_face, or as an
+    integer array of increasing rows, checked in bulk. n may be at most
+    MAX_VERTICES = 2,000.
     """
 
     __slots__ = ("n", "dim", "faces")
 
-    def __init__(self, n: int, dim: int = 2, faces: Iterable[Sequence[int]] = ()):
+    def __init__(self, n: int, dim: int = 2, faces: Iterable[Sequence[int]] | np.ndarray = ()):
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         if n > MAX_VERTICES:
             raise ValueError(f"need n <= {MAX_VERTICES}, got {n}")
         if dim < 1:
             raise ValueError(f"need dim >= 1, got {dim}")
+        k = dim + 1
+        if isinstance(faces, np.ndarray):
+            if not np.issubdtype(faces.dtype, np.integer):
+                raise ValueError(f"vertex ids must be ints, got dtype {faces.dtype}")
+            if faces.ndim != 2 or faces.shape[1] != k:
+                raise ValueError(f"face array of shape {faces.shape} must have {k} columns")
+            if faces.size and (faces.min() < 0 or faces.max() >= n):
+                raise ValueError(f"vertex ids out of range [0, {n})")
+            if (faces[:, 1:] <= faces[:, :-1]).any():
+                raise ValueError("faces must be strictly increasing")
+        else:
+            faces = np.array([_validate_face(f, n, dim) for f in faces], np.int32).reshape(-1, k)
+        if len(faces) > 1:  # sort and merge by colex rank; one face needs no table
+            table = colex_array(n, k)
+            ranks = sum(table[i + 1].take(faces[:, i]) for i in range(k))
+            faces = faces[np.unique(ranks, return_index=True)[1]]
         self.n = n
         self.dim = dim
-        self.faces: set[tuple[int, ...]] = set()
-        for f in faces:
-            self.add_face(f)
-
-    def add_face(self, face: Sequence[int]) -> bool:
-        """Insert a face; returns False if it was already present."""
-        t = _validate_face(face, self.n, self.dim)
-        if t in self.faces:
-            return False
-        self.faces.add(t)
-        return True
+        self.faces = faces.astype(np.int32)
+        self.faces.setflags(write=False)
 
     @property
     def num_faces(self) -> int:
         return len(self.faces)
 
-    def face_array(self) -> np.ndarray:
-        """The faces as the rows of an int32 array, in no particular order."""
-        return np.fromiter(chain.from_iterable(self.faces), np.int32).reshape(-1, self.dim + 1)
-
-    def faces_sorted(self) -> list[tuple[int, ...]]:
-        """Faces in colex order (deterministic column order for boundary maps).
-
-        For faces of one size, colex order is the lexicographic order of the
-        reversed tuples.
-        """
-        return sorted(self.faces, key=lambda f: f[::-1])
-
-    def copy(self) -> "Complex":
-        other = Complex.__new__(Complex)
-        other.n = self.n
-        other.dim = self.dim
-        other.faces = set(self.faces)
-        return other
-
     @classmethod
     def full(cls, n: int, dim: int = 2) -> "Complex":
-        return cls(n, dim, combinations(range(n), dim + 1))
+        return cls(n, dim, _unrank_array(np.arange(math.comb(n, dim + 1)), n, dim + 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Complex):
             return NotImplemented
-        return (self.n, self.dim, self.faces) == (other.n, other.dim, other.faces)
+        same = (self.n, self.dim) == (other.n, other.dim)
+        return same and np.array_equal(self.faces, other.faces)
 
     def __repr__(self) -> str:
         return f"Complex(n={self.n}, dim={self.dim}, faces={len(self.faces)})"
@@ -271,7 +264,7 @@ class Complex:
 def uncovered_edges(Y: Complex) -> list[tuple[int, int]]:
     """Edges contained in no triangle, in colex order."""
     _require_dim2(Y)
-    counts = edge_cover_counts(Y.n, Y.face_array())
+    counts = edge_cover_counts(Y.n, Y.faces)
     return list(map(tuple, _unrank_array(np.flatnonzero(counts == 0), Y.n, 2).tolist()))
 
 
@@ -297,8 +290,9 @@ class ProcessStream:
     with i + randrange(total - i), inlined as CPython >= 3.10 computes it:
     getrandbits(w.bit_length()) until below w = total - i. So every seed
     keeps its order (TestDrawContract in tests/test_complexes.py). Every
-    face comes from take_array, which unranks a batch with _unrank_array;
-    take and next give tuples of Python ints, as Complex requires.
+    face comes from take_array, which unranks a batch with _unrank_array
+    into an int32 array; take and next give its rows as tuples of Python
+    ints.
     """
 
     __slots__ = ("n", "dim", "seed", "total", "_rng", "_swap", "_pos")
@@ -350,19 +344,12 @@ class ProcessStream:
         return list(zip(*self.take_array(m).T.tolist()))
 
 
-def _bulk_complex(n: int, dim: int, faces: np.ndarray) -> Complex:
-    """Complex(n, dim, faces) for faces valid by construction: no add_face checks."""
-    Y = Complex(n, dim)
-    Y.faces = set(zip(*faces.T.tolist()))
-    return Y
-
-
 def sample_fixed_size(n: int, M: int, seed: int, dim: int = 2) -> Complex:
     """The fixed-size model: the first M faces of the seeded process."""
     stream = ProcessStream(n, seed, dim=dim)
     if not 0 <= M <= stream.total:
         raise ValueError(f"M={M} out of range [0, {stream.total}]")
-    return _bulk_complex(n, dim, stream.take_array(M))
+    return Complex(n, dim, stream.take_array(M))
 
 
 _DRAW_CHUNK = 1 << 16  # draws per chunk of _binomial_faces, to bound its float array
@@ -396,7 +383,7 @@ def _binomial_faces(n: int, p: float, seed: int, dim: int = 2) -> np.ndarray:
 
 def sample_binomial(n: int, p: float, seed: int, dim: int = 2) -> Complex:
     """The binomial model: each face included independently with probability p."""
-    return _bulk_complex(n, dim, _binomial_faces(n, p, seed, dim))
+    return Complex(n, dim, _binomial_faces(n, p, seed, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +391,7 @@ def sample_binomial(n: int, p: float, seed: int, dim: int = 2) -> Complex:
 
 
 def complex_to_json(Y: Complex) -> str:
-    doc = {
-        "n": Y.n,
-        "dim": Y.dim,
-        "faces": [[v + 1 for v in f] for f in Y.faces_sorted()],
-    }
-    return json.dumps(doc)
+    return json.dumps({"n": Y.n, "dim": Y.dim, "faces": (Y.faces + 1).tolist()})
 
 
 def json_int_field(doc, key: str, what: str) -> int:
@@ -433,15 +415,12 @@ def complex_from_json(text: str) -> Complex:
         isinstance(f, list) and all(isinstance(v, int) for v in f) for f in faces
     ):
         raise ValueError("complex JSON field 'faces' must be a list of integer lists")
-    Y = Complex(n, dim)
-    for raw in faces:
-        Y.add_face(_shift_to_internal(raw, n))
-    return Y
+    return Complex(n, dim, [_shift_to_internal(raw, n) for raw in faces])
 
 
 def complex_to_text(Y: Complex) -> str:
     lines = [f"# n={Y.n} dim={Y.dim}"]
-    lines.extend(" ".join(str(v + 1) for v in f) for f in Y.faces_sorted())
+    lines.extend(" ".join(map(str, f)) for f in (Y.faces + 1).tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -470,13 +449,13 @@ def complex_from_text(text: str) -> Complex:
         dim = len(face_rows[0][1]) - 1 if face_rows else 2
     if n is None:
         n = max(max(ids) for _, ids in face_rows)
-    Y = Complex(n, dim)
+    faces = []
     for lineno, ids in face_rows:
         try:
-            Y.add_face(_shift_to_internal(ids, n))
+            faces.append(_validate_face(_shift_to_internal(ids, n), n, dim))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return Y
+    return Complex(n, dim, faces)
 
 
 def _shift_to_internal(ids: Sequence[int], n: int) -> tuple[int, ...]:

@@ -162,13 +162,11 @@ def boundary_matrix(Y: Complex) -> SparseIntMatrix:
     """Boundary operator from d-faces of Y to the full set of (d-1)-faces.
 
     Rows: all C(n, d) faces of dimension d-1 in colex order. Columns: the
-    faces of Y in colex order, as in faces_sorted, from one facet_ranks call:
-    a column maps the rank of its face less vertex i to (-1)^i, as Python ints.
+    faces of Y in their colex order, as Y.faces holds them, from one
+    facet_ranks call: a column maps the rank of its face less vertex i to
+    (-1)^i, as Python ints.
     """
-    if Y.dim < 1:
-        raise ValueError("boundary requires dim >= 1")
-    faces = Y.face_array()
-    ranks = facet_ranks(Y.n, faces[np.lexsort(faces.T)]).tolist()
+    ranks = facet_ranks(Y.n, Y.faces).tolist()
     signs = [(-1) ** i for i in range(Y.dim + 1)]
     m = SparseIntMatrix(math.comb(Y.n, Y.dim), len(ranks))
     m.columns = {col: dict(zip(row, signs)) for col, row in enumerate(ranks)}
@@ -294,8 +292,8 @@ def _eliminate_unit_pivots(
     else; so peeling adds no fill-in, and a column it empties is dropped.
     Deleting entries makes more columns lone, so peeling cascades. Over Z a
     lone non-unit is skipped. homology peels the lone units of its cycle
-    coordinates itself (homology._peel_cycle_boundary), so there the stack
-    takes only columns that fill-in leaves lone.
+    coordinates itself (homology._cycle_residual), so there the stack takes
+    only columns that fill-in leaves lone.
 
     Otherwise a column that still has a unit pivots on the one whose row has
     the fewest columns: column operations clear its row from every other

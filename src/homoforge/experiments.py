@@ -179,7 +179,7 @@ def uncovered_rank_trial(n: int, p_scale: float, seed: int) -> dict:
     summary = homology_Z_faces(n, 2, faces)
     if summary.betti < unc:
         # a graph's boundary has rank n - c over any field
-        covered = Complex(n, 1, _unrank_array(np.flatnonzero(counts), n, 2).tolist())
+        covered = Complex(n, 1, _unrank_array(np.flatnonzero(counts), n, 2))
         c = n - rank_mod_p(boundary_matrix(covered), 2)
         if summary.betti < unc - (c - 1):
             raise AssertionError(

@@ -56,13 +56,13 @@ def betti1_mod_p(Y: Complex, p: int) -> int:
     return math.comb(Y.n, 2) - (Y.n - 1) - rank
 
 
-def _peel_cycle_boundary(n: int, d: int, faces: np.ndarray) -> tuple[np.ndarray, ...]:
+def _cycle_residual(n: int, d: int, faces: np.ndarray) -> tuple[np.ndarray, SparseIntMatrix]:
     """The lone-unit peel of the cut boundary of faces, an (m, d+1) array.
 
-    Returns (rows, peeled, pos, live): the rows below C(n-1, d) that the faces
-    meet, ascending, and a mask of the peeled ones; then, per residual column
-    in colex order, the index in rows of each boundary row of its face, the
-    i-th of sign (-1)^i, and a mask of its live rows (below C(n-1, d), unpeeled).
+    Returns the peeled rows, ascending, and the residual: the unpeeled
+    columns in colex order, each mapping the live rows (below C(n-1, d),
+    unpeeled) of its face's boundary, the i-th of sign (-1)^i. A live row is
+    numbered among the C(n-1, d) - len(peeled) unpeeled rows below C(n-1, d).
 
     A column counts and XORs the indices of its live rows, so at count 1 the
     XOR names its row. Each round peels every row that a lone column names
@@ -88,16 +88,13 @@ def _peel_cycle_boundary(n: int, d: int, faces: np.ndarray) -> tuple[np.ndarray,
         xor ^= np.bitwise_xor.reduce(np.where(hit, pos, 0), 1)
     kept = np.flatnonzero(count > 1)
     kept = kept[np.lexsort(faces[kept].T)]
-    return rows, peeled, pos[kept], live[kept]
-
-
-def _residual(pos, live, index, nrows: int) -> SparseIntMatrix:
-    """The residual columns of a peel's (pos, live) on nrows rows, renumbered by index[pos]."""
-    signs = [(-1) ** i for i in range(pos.shape[1])]
-    cols = zip(index[pos].tolist(), live.tolist())
-    m = SparseIntMatrix(nrows, len(pos))
+    # the index of an unpeeled row among the unpeeled rows below C(n-1, d)
+    index = (rows - np.cumsum(peeled))[pos[kept]]
+    signs = [(-1) ** i for i in range(d + 1)]
+    cols = zip(index.tolist(), live[kept].tolist())
+    m = SparseIntMatrix(cycle_space_dim(n, d) - int(peeled.sum()), len(kept))
     m.columns = dict(enumerate({r: s for r, ok, s in zip(*c, signs) if ok} for c in cols))
-    return m
+    return rows[peeled], m
 
 
 def homology_Z_faces(n: int, d: int, faces: np.ndarray) -> HomologySummary:
@@ -113,9 +110,9 @@ def homology_Z_faces(n: int, d: int, faces: np.ndarray) -> HomologySummary:
     Z^C(n-1, d) and the boundaries onto its column lattice; the cokernel is
     H_{d-1}. Every face through n-1 is a lone +-1 there.
 
-    _peel_cycle_boundary peels the lone units, each a unimodular step and an
-    invariant factor 1, so betti = C(n-1, d) - peeled - rank(residual) and
-    the torsion is the residual's, on the live rows its columns meet. As
+    _cycle_residual peels the lone units, each a unimodular step and an
+    invariant factor 1, so betti = C(n-1, d) - peeled - rank(residual), the
+    residual's rows less its rank, and the torsion is the residual's. As
     peeling a row only shrinks columns, the peeled rows are a closure, the
     same in every order (a row peeled in one order has its column's other
     rows peeled first, so by induction no order stops short of it). So the
@@ -123,16 +120,14 @@ def homology_Z_faces(n: int, d: int, faces: np.ndarray) -> HomologySummary:
     once its lone stack is empty, before its first sweep column: the same
     columns and entries in the same order, less zero rows: the sweeps agree.
     """
-    rows, peeled, pos, live = _peel_cycle_boundary(n, d, faces)
-    met = np.bincount(pos[live], minlength=len(rows)) > 0
-    snf = smith_normal_form(_residual(pos, live, np.cumsum(met) - 1, int(met.sum())))
-    betti = cycle_space_dim(n, d) - int(peeled.sum()) - snf.rank
-    return HomologySummary(betti, snf.torsion_factors())
+    residual = _cycle_residual(n, d, faces)[1]
+    snf = smith_normal_form(residual)
+    return HomologySummary(residual.rows - snf.rank, snf.torsion_factors())
 
 
 def homology_Z(Y: Complex) -> HomologySummary:
-    """H_{d-1}(Y; Z) of a complex with full (d-1)-skeleton (homology_Z_faces)."""
-    return homology_Z_faces(Y.n, Y.dim, Y.face_array())
+    """H_{d-1}(Y; Z) of a complex with full (d-1)-skeleton: homology_Z_faces of Y.faces."""
+    return homology_Z_faces(Y.n, Y.dim, Y.faces)
 
 
 def is_H1_trivial_Z(Y: Complex) -> bool:
@@ -177,13 +172,10 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     """
     _require_dim2(Y)
     n = Y.n
-    rows, peeled, pos, live = _peel_cycle_boundary(n, 2, Y.face_array())
-    # the index of an unpeeled row among the unpeeled rows below C(n-1, 2)
-    index = rows - np.cumsum(peeled)
-    top = cycle_space_dim(n)
-    Q = quotient_map_mod_p(_residual(pos, live, index, top - int(peeled.sum())), p)
-    free = np.arange(math.comb(n, 2)) < top
-    free[rows[peeled]] = False
+    peeled, residual = _cycle_residual(n, 2, Y.faces)
+    Q = quotient_map_mod_p(residual, p)
+    free = np.arange(math.comb(n, 2)) < cycle_space_dim(n)
+    free[peeled] = False
     R = np.zeros((len(free), Q.shape[1]), dtype=np.int64)
     R[free] = Q
     total = math.comb(n, 3)

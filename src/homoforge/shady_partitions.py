@@ -148,7 +148,7 @@ def verify_shady(Y: Complex, bad: TripleSet, T: Thresholds) -> ShadyReport:
     _require_dim2(Y)
     if Y.n != bad.n:
         raise ValueError(f"complex has n={Y.n} but labels have n={bad.n}")
-    faces_good = not any(bad.contains(f) for f in Y.faces)
+    faces_good = not any(bad.contains(f) for f in Y.faces.tolist())
     within_budget = bad.size <= T.max_bad_triples
     cone_closed = all(not _has_good_cone(bad, t) for t in bad.triples())
     casc = cascade(bad, T)

@@ -21,7 +21,7 @@ DATA = Path(__file__).parent / "data"
 def validate_closed_surface(Y: Complex, expected_euler: int) -> None:
     """Fixture sanity: every edge in exactly two faces, Euler characteristic right."""
     assert Y.dim == 2
-    counts = edge_cover_counts(Y.n, Y.face_array())
+    counts = edge_cover_counts(Y.n, Y.faces)
     assert (counts == 2).all(), "an edge is not in exactly 2 faces"
     euler = Y.n - math.comb(Y.n, 2) + Y.num_faces
     assert euler == expected_euler

@@ -22,7 +22,7 @@ def write_complex(tmp_path, Y, name="y.json"):
 
 
 def pinned_complex(rp2):
-    return Complex(9, 2, list(rp2.faces)
+    return Complex(9, 2, rp2.faces.tolist()
                    + [(0, 6, 7), (1, 7, 8), (2, 6, 8), (3, 4, 8), (5, 6, 7)])
 
 
@@ -57,6 +57,25 @@ class TestSample:
 
     def test_invalid_p(self, capsys):
         assert main(["sample", "--n", "6", "--p", "1.5", "--seed", "1"]) == 2
+
+    # sha256 of the stdout of `sample`: the faces, their colex order and the
+    # 1-based labels in both formats, for a process prefix and a d = 3 draw
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("--n 8 --m 20 --seed 3 --format json",
+             "8b908c8ce4a7c933e3e92c45c1520930e2633b0023bd3738a0590e904abac0c8"),
+            ("--n 8 --m 20 --seed 3 --format text",
+             "379570ddfe6ddc60ba42e092132e80dccb0f2ad42e22e08a4da3aa828e39a257"),
+            ("--n 9 --p 0.3 --seed 5 --d 3 --format json",
+             "7c31675a122eda359bcf4e2da811f4bcf93d3e627a26bab48d99e977826c8a43"),
+            ("--n 9 --p 0.3 --seed 5 --d 3 --format text",
+             "0b94525c0157aa4f6a2601df47c7a688a9ef08107bfa10d2d4572d1943a00264"),
+        ],
+    )
+    def test_pinned_stdout(self, capsys, args, digest):
+        assert main(["sample", *args.split()]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestHomologyCmd:

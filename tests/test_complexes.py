@@ -27,6 +27,7 @@ from homoforge.complexes import (
     uncovered_edges,
     unrank_triple,
 )
+from homoforge.homology import homology_Z
 
 # (k, r): a face size and a colex rank of a k-face on MAX_VERTICES vertices
 RANKED_FACES = st.sampled_from([1, 2, 3, 4]).flatmap(
@@ -44,7 +45,7 @@ def unranked(ranks, n, k):
 
 
 def cover_counts(Y):
-    return edge_cover_counts(Y.n, Y.face_array()).tolist()
+    return edge_cover_counts(Y.n, Y.faces).tolist()
 
 
 class TestRanking:
@@ -201,13 +202,13 @@ class TestTripleSet:
 class TestComplex:
     def test_add_face_maintains_cover_counts(self):
         rng = random.Random(5)
-        Y = Complex(8)
         faces = list(combinations(range(8), 3))
         rng.shuffle(faces)
         prev_delta = 0
-        for f in faces[:30]:
-            before = cover_counts(Y)
-            assert Y.add_face(f)
+        for i in range(30):
+            before = cover_counts(Complex(8, 2, faces[:i]))
+            Y = Complex(8, 2, faces[: i + 1])
+            assert Y.num_faces == i + 1
             after = cover_counts(Y)
             bumped = [i for i in range(len(after)) if after[i] != before[i]]
             assert len(bumped) == 3
@@ -217,10 +218,10 @@ class TestComplex:
             prev_delta = delta
 
     def test_add_duplicate_returns_false(self):
-        Y = Complex(5)
-        assert Y.add_face((0, 1, 2))
-        assert not Y.add_face((0, 1, 2))
+        Y = Complex(5, 2, [(0, 1, 2), (0, 1, 2)])
         assert Y.num_faces == 1
+        assert Y == Complex(5, 2, [(0, 1, 2)])
+        assert Y == Complex(5, 2, np.array([[0, 1, 2], [0, 1, 2]]))
 
     def test_edge_cover_count_examples(self):
         assert cover_counts(Complex(3, 2, [(0, 1, 2)])) == [1, 1, 1]
@@ -242,13 +243,60 @@ class TestComplex:
             uncovered_edges(Y)
 
     def test_face_validation(self):
-        Y = Complex(4)
+        with pytest.raises(ValueError, match="must have 3 vertices"):
+            Complex(4, 2, [(0, 1)])
+        with pytest.raises(ValueError, match="out of range"):
+            Complex(4, 2, [(0, 1, 4)])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Complex(4, 2, [(2, 1, 0)])
+
+
+class TestConstructor:
+    N = 7
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_inputs_give_colex_faces(self, d):
+        rng = random.Random(d)
+        picked = rng.sample(list(combinations(range(self.N), d + 1)), 12)
+        expected = sorted(set(picked), key=lambda f: f[::-1])
+        shuffled = rng.sample(picked, len(picked))
+        repeated = picked + rng.choices(picked, k=8)
+        inputs = [picked, iter(picked), shuffled, repeated, np.array(picked),
+                  np.array(shuffled, dtype=np.int64), np.array(repeated, dtype=np.uint8)]
+        for faces in inputs:
+            Y = Complex(self.N, d, faces)
+            assert [tuple(f) for f in Y.faces.tolist()] == expected
+            assert Y == Complex(self.N, d, expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bad_faces_rejected(self, d):
+        good = list(range(d + 1))
+        bad = [
+            [float(v) for v in good],  # not an integer
+            good + [d + 1],  # wrong width
+            [-1] + good[1:],  # below 0
+            good[:-1] + [self.N],  # at n
+            good[::-1],  # not increasing
+            [0] + good[:-1],  # a repeated vertex
+        ]
+        for face in bad:
+            with pytest.raises(ValueError):
+                Complex(self.N, d, [face])
+            with pytest.raises(ValueError):
+                Complex(self.N, d, np.array([face]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_faces_read_only(self, d):
+        Y = Complex(self.N, d, [tuple(range(d + 1))])
         with pytest.raises(ValueError):
-            Y.add_face((0, 1))
-        with pytest.raises(ValueError):
-            Y.add_face((0, 1, 4))
-        with pytest.raises(ValueError):
-            Y.add_face((2, 1, 0))
+            Y.faces[0, 0] = 1
+        assert Y.faces.dtype == np.int32 and not Y.faces.flags.writeable
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_full(self, d):
+        Y = Complex.full(self.N, d)
+        assert Y == Complex(self.N, d, combinations(range(self.N), d + 1))
+        assert Y.num_faces == math.comb(self.N, d + 1)
 
 
 class TestProcess:
@@ -316,9 +364,14 @@ class TestProcess:
         ]
 
     def test_sampled_faces_hold_python_ints(self):
-        # Complex rejects numpy ints, so the bulk builders must not leak them
+        # the samplers' faces are a read-only int32 array in colex order, and
+        # its rows as lists hold Python ints, as TripleSet.contains requires
         for Y in (sample_fixed_size(12, 50, 3), sample_binomial(9, 0.3, 5, dim=3)):
-            assert Y.faces and all(type(v) is int for f in Y.faces for v in f)
+            assert Y.faces.dtype == np.int32 and not Y.faces.flags.writeable
+            ranks = [rank_face(f) for f in Y.faces.tolist()]
+            assert len(ranks) == Y.num_faces > 0 and ranks == sorted(set(ranks))
+        Y = sample_fixed_size(12, 50, 3)
+        assert all(TripleSet(12).complement().contains(f) for f in Y.faces.tolist())
 
 
 def shuffle_oracle(n, dim, seed, steps):
@@ -412,12 +465,11 @@ class TestBinomial:
     def test_matches_add_face_reference(self, n, p, seed, dim):
         # one draw per face in combinations order
         rng = random.Random(seed)
-        ref = Complex(n, dim)
-        for f in combinations(range(n), dim + 1):
-            if p == 1.0 or rng.random() < p:
-                ref.add_face(f)
+        faces = [
+            f for f in combinations(range(n), dim + 1) if p == 1.0 or rng.random() < p
+        ]
         Y = sample_binomial(n, p, seed, dim)
-        assert Y == ref
+        assert Y == Complex(n, dim, faces)
 
     @pytest.mark.parametrize(
         "n, M, seed, dim",
@@ -425,11 +477,9 @@ class TestBinomial:
     )
     def test_fixed_size_matches_add_face_reference(self, n, M, seed, dim):
         # the first M stream faces
-        ref = Complex(n, dim)
-        for f in ProcessStream(n, seed, dim).take(M):
-            ref.add_face(f)
+        faces = ProcessStream(n, seed, dim).take(M)
         Y = sample_fixed_size(n, M, seed, dim)
-        assert Y == ref
+        assert Y == Complex(n, dim, faces)
 
     def test_fixed_size_model(self):
         Y = sample_fixed_size(10, 17, 5)
@@ -466,3 +516,10 @@ class TestSerialization:
             complex_from_text("# n=4 dim=2\n1 2\n")
         with pytest.raises(ValueError, match="line 2"):
             complex_from_text("# n=4 dim=2\n1 2 9\n")
+
+    def test_duplicate_faces_merge(self):
+        # a face listed twice, in any vertex order, loads as one face
+        once = Complex(4, 2, [(0, 1, 2)])
+        assert complex_from_text("# n=4 dim=2\n1 2 3\n3 2 1\n1 2 3\n") == once
+        assert complex_from_json('{"n": 4, "dim": 2, "faces": [[1, 2, 3], [3, 2, 1]]}') == once
+        assert homology_Z(once).betti == 2

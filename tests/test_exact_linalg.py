@@ -16,7 +16,6 @@ from homoforge.complexes import (
     Complex,
     ProcessStream,
     sample_binomial,
-    uncovered_edges,
 )
 from homoforge.exact_linalg import (
     _INITIAL_CAPACITY,
@@ -99,11 +98,12 @@ def unit_pivot_matrices(draw):
 
 def h_delta_prefix(n, seed):
     """The process prefix at h_delta: the first step covering every edge."""
-    Y = Complex(n)
+    faces, covered = [], set()
     for f in ProcessStream(n, seed):
-        Y.add_face(f)
-        if not uncovered_edges(Y):
-            return Y
+        faces.append(f)
+        covered.update(combinations(f, 2))
+        if len(covered) == math.comb(n, 2):
+            return Complex(n, 2, faces)
 
 
 def quotient_map_by_rows(m, p):
@@ -229,9 +229,9 @@ class TestBoundaryMatrix:
         for d in (1, 2, 3):
             Y = Complex(7, d, rng.sample(list(combinations(range(7), d + 1)), 10))
             sparse = boundary_matrix(Y)
-            dense = boundary_columns_dense(Y.faces_sorted(), Y.n, d)
+            dense = boundary_columns_dense(Y.faces.tolist(), Y.n, d)
             assert sparse.to_dense() == dense.tolist()
-            one = boundary_vector_dense(Y.faces_sorted()[0], Y.n)
+            one = boundary_vector_dense(Y.faces.tolist()[0], Y.n)
             assert one.tolist() == [row[0] for row in sparse.to_dense()]
 
 
@@ -320,7 +320,7 @@ class TestEchelonBasis:
     def test_rank_matches_batch_elimination_any_order(self):
         Y = random_complex(7, 9, random.Random(13))
         m = boundary_matrix(Y)
-        cols = boundary_columns_dense(Y.faces_sorted(), Y.n, 2)
+        cols = boundary_columns_dense(Y.faces.tolist(), Y.n, 2)
         for p in (2, 3):
             expected = rank_mod_p(m, p)
             order = list(range(cols.shape[1]))

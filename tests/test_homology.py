@@ -27,8 +27,7 @@ from homoforge.exact_linalg import (
 )
 from homoforge.homology import (
     HomologySummary,
-    _peel_cycle_boundary,
-    _residual,
+    _cycle_residual,
     betti1_mod_p,
     cycle_space_dim,
     homology_Z,
@@ -42,8 +41,7 @@ from homoforge.homology import (
 def definitional_member(Y, t, p):
     """The defining test: adding t leaves the F_p Betti number unchanged."""
     before = betti1_mod_p(Y, p)
-    bigger = Y.copy()
-    bigger.add_face(t)
+    bigger = Complex(Y.n, Y.dim, [*Y.faces.tolist(), t])
     return betti1_mod_p(bigger, p) == before
 
 
@@ -142,17 +140,18 @@ class TestHomologyZ:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sparse_input_at_large_n(self, d, monkeypatch):
         # the builder's row state follows the faces, not the C(1999, d) rows:
-        # one face on 2,000 vertices is one residual column on its d+1 rows
+        # one face on 2,000 vertices is one residual column with d+1 entries
+        # on the C(1999, d) rows below C(1999, d), none peeled
         shapes = []
 
         def snf_shape(M):
-            shapes.append((M.rows, M.cols))
+            shapes.append((M.rows, M.cols, M.nnz))
             return smith_normal_form(M)
 
         monkeypatch.setattr("homoforge.homology.smith_normal_form", snf_shape)
         Y = Complex(2000, d, [tuple(range(d + 1))])
         assert homology_Z(Y) == HomologySummary(math.comb(1999, d) - 1, ())
-        assert shapes == [(d + 1, 1)]
+        assert shapes == [(math.comb(1999, d), 1, d + 1)]
 
     @pytest.mark.parametrize("d", [6, 7])
     def test_ranks_past_int64(self, d):
@@ -165,13 +164,15 @@ class TestHomologyZ:
 
 def reference_residual(Y, peeled_rows):
     """The cut boundary columns that keep two or more rows outside
-    peeled_rows, in colex order, on the original row numbers."""
+    peeled_rows, in colex order, each row numbered among the rows below
+    C(n-1, d) outside peeled_rows."""
     top = math.comb(Y.n - 1, Y.dim)
+    number = {r: i for i, r in enumerate(r for r in range(top) if r not in peeled_rows)}
     cols = []
     for column in boundary_matrix(Y).columns.values():
-        col = {r: v for r, v in column.items() if r < top and r not in peeled_rows}
+        col = [(number[r], v) for r, v in column.items() if r in number]
         if len(col) >= 2:
-            cols.append(list(col.items()))
+            cols.append(col)
     return cols
 
 
@@ -187,36 +188,30 @@ class TestPeelCycleBoundary:
         all_faces = list(combinations(range(n), d + 1))
         picked = random.Random(seed).sample(all_faces, round(fraction * len(all_faces)))
         faces = np.array(picked, dtype=np.int32).reshape(-1, d + 1)
-        peel = _peel_cycle_boundary(n, d, faces)
-        # the same face array in the reverse order peels to the same arrays
-        reverse = _peel_cycle_boundary(n, d, faces[::-1])
-        assert all(np.array_equal(a, b) for a, b in zip(peel, reverse))
-        rows, peeled, pos, live = peel
-        assert pos.shape == live.shape == (len(pos), d + 1)
-        # rows strictly increase below C(n-1, d); no face keeps one live row
+        peeled, residual = _cycle_residual(n, d, faces)
+        # the same face array in the reverse order peels the same rows and
+        # leaves the same residual, entry order included
+        reverse_peeled, reverse = _cycle_residual(n, d, faces[::-1])
+        assert np.array_equal(peeled, reverse_peeled) and residual == reverse
+        assert [list(c.items()) for c in residual.columns.values()] == [
+            list(c.items()) for c in reverse.columns.values()
+        ]
+        # peeled rows strictly increase below C(n-1, d); no face keeps one
+        # unpeeled row there
         top = math.comb(n - 1, d)
-        assert all(a < b for a, b in zip(rows, rows[1:])) and all(rows < top)
-        peeled_rows = set(rows[peeled].tolist())
+        assert all(a < b for a, b in zip(peeled, peeled[1:])) and all(peeled < top)
+        peeled_rows = set(peeled.tolist())
         assert all(
             len([r for r in column if r < top and r not in peeled_rows]) != 1
             for column in boundary_matrix(Complex(n, d, picked)).columns.values()
         )
-        # on the live rows of homology_Z_faces (those the columns meet) and
-        # of shadow (all of them), every residual column is its cut boundary
-        # on the live rows, with two or more entries and none in a peeled row
-        for live_rows in (
-            sorted(set(rows[pos[live]].tolist())),
-            [r for r in range(top) if r not in peeled_rows],
-        ):
-            index = np.searchsorted(np.array(live_rows, dtype=np.int64), rows)
-            residual = _residual(pos, live, index, len(live_rows))
-            assert residual.rows == len(live_rows)
-            assert list(residual.columns) == list(range(residual.cols))
-            mapped = [[(live_rows[r], v) for r, v in c.items()]
-                      for c in residual.columns.values()]
-            assert mapped == reference_residual(Complex(n, d, picked), peeled_rows)
-            assert all(len(c) >= 2 for c in mapped)
-            assert not any(r in peeled_rows for c in mapped for r, _ in c)
+        # the residual's rows are the unpeeled rows below C(n-1, d), in order,
+        # and each column is its cut boundary there, with two or more entries
+        assert residual.rows == top - len(peeled_rows)
+        assert list(residual.columns) == list(range(residual.cols))
+        mapped = [list(c.items()) for c in residual.columns.values()]
+        assert mapped == reference_residual(Complex(n, d, picked), peeled_rows)
+        assert all(len(c) >= 2 for c in mapped)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -295,7 +290,7 @@ class TestShadow:
         Y = Complex(4, 2, [(0, 1, 3), (0, 2, 3), (1, 2, 3)])
         sh = shadow(Y, 2)
         assert sh.contains((0, 1, 2))
-        assert all(sh.contains(f) for f in Y.faces)
+        assert all(sh.contains(f) for f in Y.faces.tolist())
 
     def test_faces_always_members(self):
         rng = random.Random(12)
@@ -303,7 +298,7 @@ class TestShadow:
             Y = random_complex(7, rng.randint(1, 15), rng)
             for p in (2, 3):
                 sh = shadow(Y, p)
-                assert all(sh.contains(f) for f in Y.faces)
+                assert all(sh.contains(f) for f in Y.faces.tolist())
 
     def test_matches_definitional_membership(self):
         rng = random.Random(19)
@@ -359,11 +354,11 @@ class TestShadow:
     def test_deficit_monotone_along_prefix(self):
         from homoforge.complexes import ProcessStream
 
-        Y = Complex(7)
-        prev = shadow_size_deficit(Y, 2)
+        faces = []
+        prev = shadow_size_deficit(Complex(7), 2)
         for f in ProcessStream(7, 3):
-            Y.add_face(f)
-            cur = shadow_size_deficit(Y, 2)
+            faces.append(f)
+            cur = shadow_size_deficit(Complex(7, 2, faces), 2)
             assert cur <= prev
             prev = cur
 
@@ -378,10 +373,8 @@ class TestShadow:
         # restricting to the edges that avoid n-1 is injective on cycles,
         # and each peeled row is one pivot
         Y = random_complex(n, num_faces, random.Random(seed))
-        rows, peeled, pos, live = _peel_cycle_boundary(n, 2, Y.face_array())
-        free = np.setdiff1d(np.arange(math.comb(n - 1, 2)), rows[peeled])
-        residual = _residual(pos, live, np.searchsorted(free, rows), len(free))
-        assert int(peeled.sum()) + rank_mod_p(residual, p) == rank_mod_p(boundary_matrix(Y), p)
+        peeled, residual = _cycle_residual(n, 2, Y.faces)
+        assert len(peeled) + rank_mod_p(residual, p) == rank_mod_p(boundary_matrix(Y), p)
         assert quotient_map_mod_p(residual, p).shape[1] == betti1_mod_p(Y, p)
 
     # sha256 of shadow(sample_fixed_size(30, 461, seed), 3).to_bytes(), the

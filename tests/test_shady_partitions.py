@@ -234,7 +234,7 @@ class TestMoves:
         checked = 0
         for v in range(9):
             link = {u: set() for u in range(9) if u != v}
-            for f in Y.faces:
+            for f in Y.faces.tolist():
                 if v in f:
                     a, b = (u for u in f if u != v)
                     link[a].add(b)
