@@ -10,7 +10,6 @@ from .complexes import (
     sample_fixed_size,
     save_complex,
     uncovered_edges,
-    unrank_triple,
 )
 from .exact_linalg import (
     EchelonBasis,
@@ -34,7 +33,6 @@ from .homology import (
     HomologySummary,
     betti1_mod_p,
     homology_Z,
-    is_H1_trivial_Z,
     shadow,
     shadow_size_deficit,
 )

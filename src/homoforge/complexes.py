@@ -83,12 +83,6 @@ def rank_triple(t: Sequence[int], n: int) -> int:
     return rank_face(_validate_face(t, n, 2))
 
 
-def unrank_triple(r: int, n: int) -> tuple[int, int, int]:
-    if not 0 <= r < math.comb(n, 3):
-        raise ValueError(f"rank {r} out of range [0, C({n},3))")
-    return tuple(_unrank_array([r], n, 3)[0].tolist())  # type: ignore[return-value]
-
-
 def facet_ranks(n: int, faces: np.ndarray) -> np.ndarray:
     """Colex ranks of the facets of faces, an (m, k) array of increasing rows.
 
@@ -243,10 +237,6 @@ class Complex:
         self.faces = faces.astype(np.int32)
         self.faces.setflags(write=False)
 
-    @property
-    def num_faces(self) -> int:
-        return len(self.faces)
-
     @classmethod
     def full(cls, n: int, dim: int = 2) -> "Complex":
         return cls(n, dim, _unrank_array(np.arange(math.comb(n, dim + 1)), n, dim + 1))
@@ -298,6 +288,8 @@ class ProcessStream:
     __slots__ = ("n", "dim", "seed", "total", "_rng", "_swap", "_pos")
 
     def __init__(self, n: int, seed: int, dim: int = 2):
+        if dim < 1:
+            raise ValueError(f"need dim >= 1, got {dim}")
         if n < dim + 1:
             raise ValueError(f"need n >= {dim + 1} for dimension {dim}, got n={n}")
         if n > MAX_VERTICES:
@@ -309,9 +301,6 @@ class ProcessStream:
         self._rng = random.Random(seed)
         self._swap: dict[int, int] = {}
         self._pos = 0
-
-    def __iter__(self) -> "ProcessStream":
-        return self
 
     def _ranks(self, m: int) -> list[int]:
         """Face ranks of the next min(m, remaining) steps of the shuffle."""
@@ -364,6 +353,8 @@ def _binomial_faces(n: int, p: float, seed: int, dim: int = 2) -> np.ndarray:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p={p} outside [0, 1]")
+    if dim < 1:
+        raise ValueError(f"need dim >= 1, got {dim}")
     if n < dim + 1:
         raise ValueError(f"need n >= {dim + 1}, got n={n}")
     if n > MAX_VERTICES:
@@ -474,9 +465,7 @@ def save_complex(Y: Complex, path: str, fmt: str | None = None) -> None:
         fh.write(text)
 
 
-def load_complex(path: str, fmt: str | None = None) -> Complex:
+def load_complex(path: str) -> Complex:
     with open(path) as fh:
         text = fh.read()
-    if fmt is None:
-        fmt = "json" if text.lstrip().startswith("{") else "text"
-    return complex_from_json(text) if fmt == "json" else complex_from_text(text)
+    return complex_from_json(text) if text.lstrip().startswith("{") else complex_from_text(text)

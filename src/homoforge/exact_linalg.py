@@ -2,11 +2,13 @@
 
 A sparse matrix is stored by columns, each a {row: nonzero value} dict.
 boundary_matrix and the dense builders take every face's rows from one
-complexes.facet_ranks call over the face array. Both eliminations
-copy a matrix's columns into a column store with a row index and run one
-sparse unit-pivot loop: over Z a unit is +-1, over F_p any nonzero
-entry. The loop peels columns with a single unit entry first, which
-needs no fill-in (homology peels those of its cycle coordinates before
+complexes.facet_ranks call over the face array; no campaign builds a
+whole boundary, so boundary_matrix and rank_mod_p serve betti1_mod_p,
+the reference for shadows. Both eliminations copy a matrix's columns
+into a column store with a row index and run one sparse unit-pivot loop:
+over Z a unit is +-1, over F_p any nonzero entry. The loop peels columns
+with a single unit entry first, which needs no fill-in (homology's
+_cycle_residual peels the lone units of a face array in rounds before
 any store is built). Over Z the Smith normal form then diagonalises the
 residual core by division with remainder on Python integers; over F_p
 the pivots give the rank and a quotient map whose kernel is the column
@@ -62,9 +64,6 @@ class SparseIntMatrix:
             col.pop(r, None)
             if not col:
                 del self.columns[c]
-
-    def get(self, r: int, c: int) -> int:
-        return self.columns.get(c, {}).get(r, 0)
 
     @property
     def nnz(self) -> int:

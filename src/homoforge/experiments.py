@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .complexes import MAX_VERTICES, Complex, ProcessStream, _binomial_faces, _unrank_array
+from .complexes import MAX_VERTICES, ProcessStream, _binomial_faces, _unrank_array
 from .complexes import edge_cover_counts, facet_ranks
-from .exact_linalg import boundary_matrix, check_prime, rank_mod_p
+from .exact_linalg import check_prime
 from .homology import HomologySummary, homology_Z_faces, shadow_size_deficit
 
 # perfbench/tracing.py wraps these bindings. Only sample_fixed_size is used
@@ -170,7 +170,9 @@ def uncovered_rank_trial(n: int, p_scale: float, seed: int) -> dict:
     coordinates factors through H_1, with an image of corank c - 1 for c the
     components of the covered edges' graph on all n vertices. The bound
     betti >= uncovered - (c - 1) is asserted, counting c only when betti <
-    uncovered; torsion-freeness and exact rank equality are recorded.
+    uncovered, as 1 plus the reduced H_0 of that graph: homology_Z_faces in
+    dimension 1 peels a search from vertex n-1, and every other component
+    keeps one free row. Torsion-freeness and exact rank equality are recorded.
     """
     p = p_scale * math.log(n) / n
     faces = _binomial_faces(n, p, seed)
@@ -178,9 +180,8 @@ def uncovered_rank_trial(n: int, p_scale: float, seed: int) -> dict:
     unc = int((counts == 0).sum())
     summary = homology_Z_faces(n, 2, faces)
     if summary.betti < unc:
-        # a graph's boundary has rank n - c over any field
-        covered = Complex(n, 1, _unrank_array(np.flatnonzero(counts), n, 2))
-        c = n - rank_mod_p(boundary_matrix(covered), 2)
+        covered = _unrank_array(np.flatnonzero(counts), n, 2)
+        c = 1 + homology_Z_faces(n, 1, covered).betti
         if summary.betti < unc - (c - 1):
             raise AssertionError(
                 f"betti {summary.betti} below uncovered-edge count {unc} less "

@@ -1,4 +1,4 @@
-"""First homology over Z and F_p, triviality tests, and homological shadows.
+"""First homology over Z and F_p, and homological shadows.
 
 shadow returns a complexes.TripleSet; the CLI's shadow command writes its
 to_bytes() as <out>.bits and {n, p, size, deficit} as <out>.json.
@@ -6,12 +6,13 @@ to_bytes() as <out>.bits and {n, p, size, deficit} as <out>.json.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex, TripleSet, _require_dim2, facet_ranks, uncovered_edges
+from .complexes import Complex, TripleSet, _require_dim2, facet_ranks
 from .exact_linalg import (
     SparseIntMatrix,
     boundary_columns_dense,  # unused; perfbench's tracer wraps this binding
@@ -64,28 +65,23 @@ def _cycle_residual(n: int, d: int, faces: np.ndarray) -> tuple[np.ndarray, Spar
     unpeeled) of its face's boundary, the i-th of sign (-1)^i. A live row is
     numbered among the C(n-1, d) - len(peeled) unpeeled rows below C(n-1, d).
 
-    A column counts and XORs the indices of its live rows, so at count 1 the
-    XOR names its row. Each round peels every row that a lone column names
-    from every column on it, until no column is lone: the synchronous rounds of
-    parallel peeling (Jiang, Mitzenmacher and Thaler, 2014). A row that no
-    face meets costs nothing.
+    A column is lone when it keeps one live row. Each round recounts the
+    live rows of every column and peels every row that a lone column keeps
+    from every column on it, until no column is lone: the synchronous rounds
+    of parallel peeling (Jiang, Mitzenmacher and Thaler, 2014). A row that
+    no face meets costs nothing.
     """
     rows = facet_ranks(n, faces)
     live = rows < cycle_space_dim(n, d)
     rows, number = np.unique(rows[live], return_inverse=True)
     pos = np.zeros(live.shape, dtype=np.intp)
     pos[live] = number
-    count = live.sum(1)
-    xor = np.bitwise_xor.reduce(pos, 1)
     peeled = np.zeros(len(rows), dtype=bool)
-    while (lone := count == 1).any():
+    while (lone := (count := live.sum(1)) == 1).any():
         newly = np.zeros(len(rows), dtype=bool)
-        newly[xor[lone]] = True
+        newly[pos[lone][live[lone]]] = True
         peeled |= newly
-        hit = newly[pos] & live
-        live ^= hit
-        count -= hit.sum(1)
-        xor ^= np.bitwise_xor.reduce(np.where(hit, pos, 0), 1)
+        live &= ~newly[pos]
     kept = np.flatnonzero(count > 1)
     kept = kept[np.lexsort(faces[kept].T)]
     # the index of an unpeeled row among the unpeeled rows below C(n-1, d)
@@ -130,22 +126,22 @@ def homology_Z(Y: Complex) -> HomologySummary:
     return homology_Z_faces(Y.n, Y.dim, Y.faces)
 
 
-def is_H1_trivial_Z(Y: Complex) -> bool:
-    """Whether H_1(Y; Z) = 0.
-
-    An uncovered edge forces a nontrivial class over every coefficient
-    group, so that count decides first; otherwise one Smith form does.
-    """
-    if uncovered_edges(Y):
-        return False
-    return homology_Z(Y).trivial
-
-
 # ---------------------------------------------------------------------------
 # shadows
 
 
 _SHADOW_CHUNK = 4096
+
+
+@functools.lru_cache(maxsize=4)
+def _triple_facets(n: int) -> np.ndarray:
+    """facet_ranks of all C(n,3) triples in colex order: columns bc, ac, ab.
+
+    Built on first use for each n, cached and read-only, like colex_array.
+    """
+    facets = facet_ranks(n, Complex.full(n).faces)
+    facets.setflags(write=False)
+    return facets
 
 
 def shadow(Y: Complex, p: int) -> TripleSet:
@@ -167,8 +163,9 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     R is Q with zero rows for the edges through n-1, so it has
     betti1_mod_p(Y, p) columns, and the boundary of a < b < c lies in the
     span iff R[bc] - R[ac] + R[ab] vanishes mod p. Its entries lie in
-    (-p, 2p), so that is 0 or p. Only the C(n,2) edge vectors are mapped,
-    not the C(n,3) triples.
+    (-p, 2p), so that is 0 or p. Each triple's edge ranks are its row of
+    _triple_facets, the boundary builder's facet_ranks of all triples. Only
+    the C(n,2) edge vectors are mapped, not the C(n,3) triples.
     """
     _require_dim2(Y)
     n = Y.n
@@ -178,22 +175,12 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     free[peeled] = False
     R = np.zeros((len(free), Q.shape[1]), dtype=np.int64)
     R[free] = Q
-    total = math.comb(n, 3)
-    # colex order lists, for each c, the C(c, 2) edges ab below c in colex
-    # order, so this enumeration already gives each triple's edge ranks: ab is
-    # its index within the block of c, and bc, ac = C(c, 2) + b, C(c, 2) + a
-    v = np.arange(n, dtype=np.int64)
-    c = np.repeat(v, v * (v - 1) // 2)
-    ab = np.arange(total, dtype=np.int64) - c * (c - 1) * (c - 2) // 6
-    edge_b = np.repeat(v, v)
-    edge_a = np.arange(edge_b.size, dtype=np.int64) - edge_b * (edge_b - 1) // 2
-    cc = c * (c - 1) // 2
-    bc, ac = cc + edge_b[ab], cc + edge_a[ab]
-    member = np.empty(total, dtype=bool)
-    for start in range(0, total, _SHADOW_CHUNK):
-        chunk = slice(start, start + _SHADOW_CHUNK)
-        residual = R[bc[chunk]] - R[ac[chunk]] + R[ab[chunk]]
-        member[chunk] = ((residual == 0) | (residual == p)).all(1)
+    facets = _triple_facets(n)
+    member = np.empty(len(facets), dtype=bool)
+    for start in range(0, len(facets), _SHADOW_CHUNK):
+        bc, ac, ab = facets[start:start + _SHADOW_CHUNK].T
+        image = R[bc] - R[ac] + R[ab]
+        member[start:start + _SHADOW_CHUNK] = ((image == 0) | (image == p)).all(1)
     return TripleSet.from_mask(n, member)
 
 

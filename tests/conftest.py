@@ -23,7 +23,7 @@ def validate_closed_surface(Y: Complex, expected_euler: int) -> None:
     assert Y.dim == 2
     counts = edge_cover_counts(Y.n, Y.faces)
     assert (counts == 2).all(), "an edge is not in exactly 2 faces"
-    euler = Y.n - math.comb(Y.n, 2) + Y.num_faces
+    euler = Y.n - math.comb(Y.n, 2) + len(Y.faces)
     assert euler == expected_euler
 
 
@@ -83,12 +83,17 @@ def rank_mod_p_oracle(dense: list[list[int]], p: int) -> int:
     return rank
 
 
-def random_complex(n: int, num_faces: int, rng) -> Complex:
-    """A complex with up to num_faces distinct random triangles."""
+def stream_faces(stream):
+    """The faces left in a ProcessStream, one next() at a time, until it runs out."""
+    return iter(lambda: next(stream, None), None)
+
+
+def random_complex(n: int, faces_wanted: int, rng) -> Complex:
+    """A complex with up to faces_wanted distinct random triangles."""
     from itertools import combinations
 
     all_faces = list(combinations(range(n), 3))
-    picked = rng.sample(all_faces, min(num_faces, len(all_faces)))
+    picked = rng.sample(all_faces, min(faces_wanted, len(all_faces)))
     return Complex(n, 2, picked)
 
 
@@ -107,7 +112,7 @@ def shadow_oracle(Y: Complex, p: int) -> set[tuple[int, int, int]]:
 
     K = GF(p)
     B = boundary_matrix(Y).to_dense()
-    D = DomainMatrix([[K(x) for x in row] for row in B], (len(B), Y.num_faces), K)
+    D = DomainMatrix([[K(x) for x in row] for row in B], (len(B), len(Y.faces)), K)
     left_null = [[int(x) % p for x in row] for row in D.transpose().nullspace().to_list()]
 
     def edge(x, y):

@@ -28,7 +28,7 @@ from homoforge.experiments import (
     binomial_ci95,
     run_campaign,
 )
-from homoforge.homology import betti1_mod_p, homology_Z, is_H1_trivial_Z, shadow
+from homoforge.homology import betti1_mod_p, homology_Z, shadow
 
 
 @contextmanager
@@ -157,7 +157,7 @@ def test_criterion_5_hitting_time_hard_chain(hitting_reports):
                 )
                 assert uncovered_edges(prefix), row
                 assert betti1_mod_p(prefix, 2) >= 1, row
-                assert not is_H1_trivial_Z(prefix), row
+                assert not homology_Z(prefix).trivial, row
 
 
 def test_criterion_6_hitting_time_statistics(hitting_reports):

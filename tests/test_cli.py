@@ -58,6 +58,12 @@ class TestSample:
     def test_invalid_p(self, capsys):
         assert main(["sample", "--n", "6", "--p", "1.5", "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("d", [0, -1, -3])
+    @pytest.mark.parametrize("model", [["--m", "3"], ["--p", "0.5"]])
+    def test_dimension_below_one(self, capsys, model, d):
+        assert main(["sample", "--n", "5", *model, "--seed", "1", "--d", str(d)]) == 2
+        assert f"need dim >= 1, got {d}" in capsys.readouterr().err
+
     # sha256 of the stdout of `sample`: the faces, their colex order and the
     # 1-based labels in both formats, for a process prefix and a d = 3 draw
     @pytest.mark.parametrize(

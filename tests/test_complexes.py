@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import stream_faces
 from homoforge.complexes import (
     MAX_VERTICES,
     Complex,
@@ -25,7 +26,6 @@ from homoforge.complexes import (
     sample_binomial,
     sample_fixed_size,
     uncovered_edges,
-    unrank_triple,
 )
 from homoforge.homology import homology_Z
 
@@ -61,7 +61,7 @@ class TestRanking:
             expected = colex_order(n, 3)
             for r, t in enumerate(expected):
                 assert rank_triple(t, n) == r
-                assert unrank_triple(r, n) == t
+                assert unranked([r], n, 3) == [t]
         assert rank_triple((0, 1, 3), 5) == 1  # second in colex order
 
     def test_round_trip_bijection(self):
@@ -84,8 +84,6 @@ class TestRanking:
             rank_triple((2, 1, 0), 5)
         with pytest.raises(ValueError):
             rank_triple((0, 0, 1), 5)
-        with pytest.raises(ValueError):
-            unrank_triple(10, 5)
 
     def test_edge_ranking(self):
         for n in (3, 6, 10):
@@ -120,13 +118,6 @@ class TestRanking:
             assert face == tuple(range(k))
         if r == math.comb(MAX_VERTICES, k) - 1:
             assert face == tuple(range(MAX_VERTICES - k, MAX_VERTICES))
-
-    def test_unrank_triple_rejects_out_of_range(self):
-        for n in (3, 7, MAX_VERTICES):
-            with pytest.raises(ValueError):
-                unrank_triple(-1, n)
-            with pytest.raises(ValueError):
-                unrank_triple(math.comb(n, 3), n)
 
 
 def facet_oracle(faces):
@@ -208,7 +199,7 @@ class TestComplex:
         for i in range(30):
             before = cover_counts(Complex(8, 2, faces[:i]))
             Y = Complex(8, 2, faces[: i + 1])
-            assert Y.num_faces == i + 1
+            assert len(Y.faces) == i + 1
             after = cover_counts(Y)
             bumped = [i for i in range(len(after)) if after[i] != before[i]]
             assert len(bumped) == 3
@@ -219,7 +210,7 @@ class TestComplex:
 
     def test_add_duplicate_returns_false(self):
         Y = Complex(5, 2, [(0, 1, 2), (0, 1, 2)])
-        assert Y.num_faces == 1
+        assert len(Y.faces) == 1
         assert Y == Complex(5, 2, [(0, 1, 2)])
         assert Y == Complex(5, 2, np.array([[0, 1, 2], [0, 1, 2]]))
 
@@ -296,7 +287,7 @@ class TestConstructor:
     def test_full(self, d):
         Y = Complex.full(self.N, d)
         assert Y == Complex(self.N, d, combinations(range(self.N), d + 1))
-        assert Y.num_faces == math.comb(self.N, d + 1)
+        assert len(Y.faces) == math.comb(self.N, d + 1)
 
 
 class TestProcess:
@@ -314,19 +305,20 @@ class TestProcess:
 
     def test_single_triple_stream(self):
         for seed in range(5):
-            assert list(ProcessStream(3, seed)) == [(0, 1, 2)]
+            assert list(stream_faces(ProcessStream(3, seed))) == [(0, 1, 2)]
 
     def test_permutation_property(self):
         for seed in (0, 1, 99):
-            out = list(ProcessStream(5, seed))
+            out = list(stream_faces(ProcessStream(5, seed)))
             assert len(out) == 10
             assert set(out) == set(combinations(range(5), 3))
 
     def test_same_seed_same_order(self):
-        assert list(ProcessStream(6, 123)) == list(ProcessStream(6, 123))
+        first, again = (list(stream_faces(ProcessStream(6, 123))) for _ in range(2))
+        assert first == again
 
     def test_different_seeds_differ(self):
-        orders = {tuple(ProcessStream(6, s)) for s in range(8)}
+        orders = {tuple(stream_faces(ProcessStream(6, s))) for s in range(8)}
         assert len(orders) > 1
 
     def test_n_too_small(self):
@@ -352,7 +344,7 @@ class TestProcess:
         assert len(s._swap) <= 10
 
     def test_general_dimension(self):
-        out = list(ProcessStream(6, 4, dim=3))
+        out = list(stream_faces(ProcessStream(6, 4, dim=3)))
         assert len(out) == math.comb(6, 4)
         assert set(out) == set(combinations(range(6), 4))
 
@@ -369,7 +361,7 @@ class TestProcess:
         for Y in (sample_fixed_size(12, 50, 3), sample_binomial(9, 0.3, 5, dim=3)):
             assert Y.faces.dtype == np.int32 and not Y.faces.flags.writeable
             ranks = [rank_face(f) for f in Y.faces.tolist()]
-            assert len(ranks) == Y.num_faces > 0 and ranks == sorted(set(ranks))
+            assert len(ranks) == len(Y.faces) > 0 and ranks == sorted(set(ranks))
         Y = sample_fixed_size(12, 50, 3)
         assert all(TripleSet(12).complement().contains(f) for f in Y.faces.tolist())
 
@@ -431,13 +423,21 @@ class TestDrawContract:
 
 class TestBinomial:
     def test_extreme_probabilities(self):
-        assert sample_binomial(6, 0.0, 1).num_faces == 0
-        assert sample_binomial(6, 1.0, 1).num_faces == math.comb(6, 3)
+        assert len(sample_binomial(6, 0.0, 1).faces) == 0
+        assert len(sample_binomial(6, 1.0, 1).faces) == math.comb(6, 3)
 
     def test_zero_probability_at_any_size(self):
         # p = 0 draws nothing and builds no rank table
         assert _binomial_faces(MAX_VERTICES, 0.0, 1, dim=1000).shape == (0, 1001)
-        assert sample_binomial(MAX_VERTICES, 0.0, 1, dim=1000).num_faces == 0
+        assert len(sample_binomial(MAX_VERTICES, 0.0, 1, dim=1000).faces) == 0
+
+    @pytest.mark.parametrize("dim", [0, -1, -3])
+    def test_dimension_below_one(self, dim):
+        # checked before anything is drawn, for both samplers
+        with pytest.raises(ValueError, match=f"need dim >= 1, got {dim}"):
+            ProcessStream(5, 0, dim=dim)
+        with pytest.raises(ValueError, match=f"need dim >= 1, got {dim}"):
+            _binomial_faces(5, 0.5, 0, dim=dim)
 
     def test_n_too_large(self):
         # checked before the p = 0 return, so nothing is drawn or allocated
@@ -453,7 +453,7 @@ class TestBinomial:
     def test_mean_face_count(self):
         # |faces| ~ Bin(C(20,3), 1/2): mean 570, sd ~16.9; 10^4 samples
         trials = 10_000
-        total = sum(sample_binomial(20, 0.5, seed).num_faces for seed in range(trials))
+        total = sum(len(sample_binomial(20, 0.5, seed).faces) for seed in range(trials))
         mean = total / trials
         stderr = math.sqrt(math.comb(20, 3) * 0.25) / math.sqrt(trials)
         assert abs(mean - 570.0) < 3 * stderr + 1e-9
@@ -483,7 +483,7 @@ class TestBinomial:
 
     def test_fixed_size_model(self):
         Y = sample_fixed_size(10, 17, 5)
-        assert Y.num_faces == 17
+        assert len(Y.faces) == 17
         assert sample_fixed_size(10, 17, 5) == Y
         with pytest.raises(ValueError):
             sample_fixed_size(5, 11, 0)

@@ -23,7 +23,6 @@ from homoforge.homology import (
     betti1_mod_p,
     homology_Z,
     homology_Z_faces,
-    is_H1_trivial_Z,
     shadow_size_deficit,
 )
 
@@ -63,8 +62,8 @@ class TestHittingTimeTrial:
             assert betti1_mod_p(prefix_complex(n, seed, t.h_f2), 2) == 0
             assert betti1_mod_p(prefix_complex(n, seed, t.h_f2 - 1), 2) > 0
 
-            assert is_H1_trivial_Z(prefix_complex(n, seed, t.h_z))
-            assert not is_H1_trivial_Z(prefix_complex(n, seed, t.h_z - 1))
+            assert homology_Z(prefix_complex(n, seed, t.h_z)).trivial
+            assert not homology_Z(prefix_complex(n, seed, t.h_z - 1)).trivial
 
             assert homology_Z(Y).torsion == t.torsion_at_h_delta
 

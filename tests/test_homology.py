@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rank_over_Q, random_complex, shadow_oracle
+from conftest import rank_over_Q, random_complex, shadow_oracle, stream_faces
+from homoforge import homology
 from homoforge.cli import main
 from homoforge.complexes import (
     Complex,
@@ -32,7 +33,6 @@ from homoforge.homology import (
     cycle_space_dim,
     homology_Z,
     homology_Z_faces,
-    is_H1_trivial_Z,
     shadow,
     shadow_size_deficit,
 )
@@ -74,12 +74,12 @@ class TestBetti:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(3, 8),
-        num_faces=st.integers(0, 56),
+        faces_wanted=st.integers(0, 56),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_betti_mod_matches_rank_mod_p(self, n, num_faces, seed):
+    def test_betti_mod_matches_rank_mod_p(self, n, faces_wanted, seed):
         # universal coefficients against an independent F_p elimination
-        Y = random_complex(n, num_faces, random.Random(seed))
+        Y = random_complex(n, faces_wanted, random.Random(seed))
         summary = homology_Z(Y)
         for p in (2, 3, 5):
             assert summary.betti_mod(p) == betti1_mod_p(Y, p)
@@ -235,19 +235,24 @@ class TestTriviality:
     def test_uncovered_edge_blocks_triviality(self):
         Y = Complex(5, 2, [(0, 1, 2)])
         assert uncovered_edges(Y)
-        assert not is_H1_trivial_Z(Y)
+        assert not homology_Z(Y).trivial
+
+    def test_two_and_three_vertices(self):
+        # K_2 is a tree; the empty triangle on 3 vertices leaves H_1 = Z
+        assert homology_Z(Complex(2)).trivial
+        assert not homology_Z(Complex(3)).trivial
 
     def test_full_complex(self):
-        assert is_H1_trivial_Z(Complex.full(5))
+        assert homology_Z(Complex.full(5)).trivial
 
     def test_rp2_not_trivial(self, rp2):
-        assert not is_H1_trivial_Z(rp2)
+        assert not homology_Z(rp2).trivial
 
     def test_triviality_consistency(self):
         rng = random.Random(2)
         for _ in range(20):
             Y = random_complex(6, rng.randint(0, 20), rng)
-            if is_H1_trivial_Z(Y):
+            if homology_Z(Y).trivial:
                 for p in (2, 3, 5):
                     assert betti1_mod_p(Y, p) == 0
                     assert shadow_size_deficit(Y, p) == 0
@@ -257,8 +262,44 @@ class TestTriviality:
         for _ in range(20):
             Y = random_complex(7, rng.randint(0, 12), rng)
             if uncovered_edges(Y):
-                assert not is_H1_trivial_Z(Y)
+                assert not homology_Z(Y).trivial
 
+
+def union_find_components(n, edges):
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    return len({root(v) for v in range(n)})
+
+
+class TestGraphComponents:
+    # in dimension 1, homology_Z_faces gives the reduced H_0 of the graph on
+    # n vertices with the given edges: its components less one
+
+    def check(self, n, edges):
+        faces = np.array(edges, dtype=np.int32).reshape(-1, 2)
+        assert homology_Z_faces(n, 1, faces).betti + 1 == union_find_components(n, edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 30), size=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+    def test_matches_union_find(self, n, size, seed):
+        all_edges = list(combinations(range(n), 2))
+        self.check(n, random.Random(seed).sample(all_edges, min(size, len(all_edges))))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 30])
+    def test_special_graphs(self, n):
+        all_edges = list(combinations(range(n), 2))
+        self.check(n, [])
+        self.check(n, all_edges)  # K_n
+        self.check(n, [e for e in all_edges if n - 1 not in e])  # n-1 isolated
+        self.check(n, [(v, n - 1) for v in range(0, n - 1, 3)])  # others isolated
+        self.check(n, [e for e in all_edges if 0 not in e])  # 0 isolated
 
 
 class TestPrimeBound:
@@ -313,20 +354,20 @@ class TestShadow:
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(3, 8),
-        num_faces=st.integers(0, 56),
+        faces_wanted=st.integers(0, 56),
         seed=st.integers(0, 2**32 - 1),
         p=st.sampled_from([2, 3, 5, 2**31 - 1]),
     )
-    def test_matches_null_space_oracle(self, n, num_faces, seed, p):
-        Y = random_complex(n, num_faces, random.Random(seed))
+    def test_matches_null_space_oracle(self, n, faces_wanted, seed, p):
+        Y = random_complex(n, faces_wanted, random.Random(seed))
         assert set(shadow(Y, p).triples()) == shadow_oracle(Y, p)
 
     # unreduced sums of int64 products below p^2 would wrap in the quotient
     # map at (19, 118)
-    @pytest.mark.parametrize("n, num_faces", [(14, 182), (19, 118)])
-    def test_matches_null_space_oracle_at_largest_prime(self, n, num_faces):
+    @pytest.mark.parametrize("n, faces_wanted", [(14, 182), (19, 118)])
+    def test_matches_null_space_oracle_at_largest_prime(self, n, faces_wanted):
         p = 2**31 - 1
-        Y = sample_fixed_size(n, num_faces, 1)
+        Y = sample_fixed_size(n, faces_wanted, 1)
         assert set(shadow(Y, p).triples()) == shadow_oracle(Y, p)
 
     def test_cone_closure(self):
@@ -356,7 +397,7 @@ class TestShadow:
 
         faces = []
         prev = shadow_size_deficit(Complex(7), 2)
-        for f in ProcessStream(7, 3):
+        for f in stream_faces(ProcessStream(7, 3)):
             faces.append(f)
             cur = shadow_size_deficit(Complex(7, 2, faces), 2)
             assert cur <= prev
@@ -365,20 +406,21 @@ class TestShadow:
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(3, 9),
-        num_faces=st.integers(0, 84),
+        faces_wanted=st.integers(0, 84),
         seed=st.integers(0, 2**32 - 1),
         p=st.sampled_from([2, 3, 5, 2**31 - 1]),
     )
-    def test_cycle_rows_keep_rank(self, n, num_faces, seed, p):
+    def test_cycle_rows_keep_rank(self, n, faces_wanted, seed, p):
         # restricting to the edges that avoid n-1 is injective on cycles,
         # and each peeled row is one pivot
-        Y = random_complex(n, num_faces, random.Random(seed))
+        Y = random_complex(n, faces_wanted, random.Random(seed))
         peeled, residual = _cycle_residual(n, 2, Y.faces)
         assert len(peeled) + rank_mod_p(residual, p) == rank_mod_p(boundary_matrix(Y), p)
         assert quotient_map_mod_p(residual, p).shape[1] == betti1_mod_p(Y, p)
 
     # sha256 of shadow(sample_fixed_size(30, 461, seed), 3).to_bytes(), the
-    # shadow_p3 benchmark size; a deficit cannot see two swapped members
+    # shadow_p3 benchmark size; a deficit cannot see two swapped members.
+    # Chunks of 1 and 7 triples run the membership loop many times over.
     @pytest.mark.parametrize(
         "seed, digest",
         [
@@ -387,9 +429,12 @@ class TestShadow:
             (3002, "d74ac62f7d72e5e1ef2a18c8979f7d824153f3d234ef6b3a359514899c137b21"),
         ],
     )
-    def test_pinned_bits_at_workload_size(self, seed, digest):
-        sh = shadow(sample_fixed_size(30, 461, seed), 3)
-        assert hashlib.sha256(sh.to_bytes()).hexdigest() == digest
+    def test_pinned_bits_at_workload_size(self, seed, digest, monkeypatch):
+        Y = sample_fixed_size(30, 461, seed)
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(homology, "_SHADOW_CHUNK", chunk)
+            sh = shadow(Y, 3)
+            assert hashlib.sha256(sh.to_bytes()).hexdigest() == digest, chunk
 
     def test_shadow_requires_dim2(self):
         with pytest.raises(ValueError):

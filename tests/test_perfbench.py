@@ -5,6 +5,7 @@ name, so a renamed or moved layer would otherwise leave its spans empty
 without any error.
 """
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from homoforge.experiments import CampaignConfig, run_campaign
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "homoforge"
 
 
 @pytest.fixture
@@ -26,6 +28,27 @@ def test_trace_targets_are_own_attributes(perfbench):
     tracing, _ = perfbench
     for owner, attr, _, _ in tracing.TARGETS:
         assert attr in owner.__dict__, (owner.__name__, attr)
+
+
+def test_no_unused_imports(perfbench):
+    # a module uses every name it imports, unless the tracer wraps that binding
+    tracing, _ = perfbench
+    wrapped = {(owner.__name__, attr) for owner, attr, _, _ in tracing.TARGETS}
+    unused = []
+    for path in sorted(SOURCES.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used and (f"homoforge.{path.stem}", name) not in wrapped:
+                        unused.append((path.name, node.lineno, name))
+    assert unused == []
 
 
 def test_micro_benchmarks_run(perfbench, monkeypatch):
