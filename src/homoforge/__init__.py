@@ -5,7 +5,6 @@ from .complexes import (
     ProcessStream,
     TripleSet,
     load_complex,
-    rank_triple,
     sample_binomial,
     sample_fixed_size,
     save_complex,

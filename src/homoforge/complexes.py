@@ -2,8 +2,9 @@
 
 Vertices are 0-based internally; all file formats and CLI output use
 1-based labels. A face of dimension d is a strictly increasing (d+1)-tuple
-of vertex ids, ranked colexicographically (rank_face). A Complex holds its
-d-faces as the rows of one read-only int32 array in colex order.
+of vertex ids, ranked colexicographically by rank_face, or by face_ranks
+for the rows of an array. A Complex holds its d-faces as the rows of one
+read-only int32 array in colex order; its constructor checks every face set.
 
 TripleSet is the one bitset over the C(n,3) triple ranks, used for shadows
 and for the bad side of a partition. A shadow .bits file holds its
@@ -64,23 +65,10 @@ def _unrank_array(r, n: int, k: int) -> np.ndarray:
     return faces
 
 
-def _validate_face(face: Sequence[int], n: int, d: int) -> tuple[int, ...]:
-    t = tuple(face)
-    if len(t) != d + 1:
-        raise ValueError(f"face {t} must have {d + 1} vertices")
-    for i, v in enumerate(t):
-        if not isinstance(v, int):
-            raise ValueError(f"vertex ids must be ints, got {v!r}")
-        if v < 0 or v >= n:
-            raise ValueError(f"vertex {v} out of range [0, {n})")
-        if i > 0 and t[i - 1] >= v:
-            raise ValueError(f"face {t} must be strictly increasing")
-    return t
-
-
-def rank_triple(t: Sequence[int], n: int) -> int:
-    """Colex rank of a triple among all C(n,3) triples: C(v2,3)+C(v1,2)+C(v0,1)."""
-    return rank_face(_validate_face(t, n, 2))
+def face_ranks(n: int, faces: np.ndarray) -> np.ndarray:
+    """Colex ranks of the increasing rows of faces, an (m, k) array, from colex_array(n, k)."""
+    table = colex_array(n, faces.shape[1])
+    return sum(table[i + 1].take(faces[:, i]) for i in range(faces.shape[1]))
 
 
 def facet_ranks(n: int, faces: np.ndarray) -> np.ndarray:
@@ -108,25 +96,28 @@ def facet_ranks(n: int, faces: np.ndarray) -> np.ndarray:
 class TripleSet:
     """A set of triples of [0, n), stored as a bitset over their colex ranks.
 
-    Bit r of bits is set iff the triple of colex rank r is a member. The
-    payload is the bitset little-endian in (C(n,3) + 7) // 8 bytes; to_bytes
-    prefixes it with the bit count C(n,3) as 8 little-endian bytes. Both
-    readers reject a wrong length and a bit at or past C(n,3).
+    Bit r of bits is set iff the triple of colex rank r is a member, and no
+    bit at or past C(n,3) may be set. The payload is the bitset little-endian
+    in (C(n,3) + 7) // 8 bytes; to_bytes prefixes it with the bit count
+    C(n,3) as 8 little-endian bytes. Triples are checked by Complex.
     """
 
     __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits: int = 0):
+        if bits < 0:
+            raise ValueError(f"bitset must be nonnegative, got {bits}")
+        if bits >> math.comb(n, 3):
+            raise ValueError(f"bitset sets rank {bits.bit_length() - 1} >= C({n},3)")
         self.n = n
         self.bits = bits
 
     @classmethod
     def of(cls, n: int, triples: Iterable[Sequence[int]]) -> "TripleSet":
         """The set of the given triples, each in any vertex order."""
-        bits = 0
-        for t in triples:
-            bits |= 1 << rank_triple(sorted(t), n)
-        return cls(n, bits)
+        member = np.zeros(math.comb(n, 3), dtype=bool)
+        member[face_ranks(n, Complex(n, 2, map(sorted, triples)).faces)] = True
+        return cls.from_mask(n, member)
 
     @property
     def total(self) -> int:
@@ -144,12 +135,16 @@ class TripleSet:
 
     def contains(self, t: Sequence[int]) -> bool:
         """Membership of a triple in any vertex order; ValueError if it is invalid."""
-        return self.contains_rank(rank_triple(sorted(t), self.n))
+        return self.contains_rank(rank_face(Complex(self.n, 2, [sorted(t)]).faces[0]))
+
+    def mask(self) -> np.ndarray:
+        """A boolean array of length C(n,3), true at the member ranks."""
+        bytes_ = np.frombuffer(self.payload(), np.uint8)
+        return np.unpackbits(bytes_, count=self.total, bitorder="little").view(bool)
 
     def ranks(self) -> np.ndarray:
         """Member ranks, ascending, as an int64 array."""
-        bytes_ = np.frombuffer(self.payload(), np.uint8)
-        return np.flatnonzero(np.unpackbits(bytes_, bitorder="little"))
+        return np.flatnonzero(self.mask())
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         """Members in colex order."""
@@ -165,10 +160,7 @@ class TripleSet:
             raise ValueError(
                 f"bitset payload has {len(payload)} bytes, expected {(total + 7) // 8}"
             )
-        bits = int.from_bytes(payload, "little")
-        if bits >> total:
-            raise ValueError(f"bitset sets rank {bits.bit_length() - 1} >= C({n},3)")
-        return cls(n, bits)
+        return cls(n, int.from_bytes(payload, "little"))
 
     @classmethod
     def from_mask(cls, n: int, member: np.ndarray) -> "TripleSet":
@@ -202,9 +194,9 @@ class Complex:
     Lower-dimensional faces are implicit: every edge (and vertex) exists.
     faces holds the distinct dim-faces as the rows of a read-only int32
     array in colex order, so equal complexes have equal arrays. They may be
-    given as an iterable of faces, each checked by _validate_face, or as an
-    integer array of increasing rows, checked in bulk. n may be at most
-    MAX_VERTICES = 2,000.
+    given as an integer array of increasing rows or as an iterable of such
+    rows, which becomes one; either way the array is checked in bulk, then
+    sorted and merged by face_ranks. n may be at most MAX_VERTICES = 2,000.
     """
 
     __slots__ = ("n", "dim", "faces")
@@ -217,21 +209,22 @@ class Complex:
         if dim < 1:
             raise ValueError(f"need dim >= 1, got {dim}")
         k = dim + 1
-        if isinstance(faces, np.ndarray):
-            if not np.issubdtype(faces.dtype, np.integer):
-                raise ValueError(f"vertex ids must be ints, got dtype {faces.dtype}")
-            if faces.ndim != 2 or faces.shape[1] != k:
-                raise ValueError(f"face array of shape {faces.shape} must have {k} columns")
-            if faces.size and (faces.min() < 0 or faces.max() >= n):
-                raise ValueError(f"vertex ids out of range [0, {n})")
-            if (faces[:, 1:] <= faces[:, :-1]).any():
-                raise ValueError("faces must be strictly increasing")
-        else:
-            faces = np.array([_validate_face(f, n, dim) for f in faces], np.int32).reshape(-1, k)
+        if not isinstance(faces, np.ndarray):
+            rows = list(faces) or np.empty((0, k), dtype=np.int32)
+            try:
+                faces = np.array(rows)
+            except ValueError:
+                raise ValueError(f"faces must have {k} vertices each") from None
+        if not np.issubdtype(faces.dtype, np.integer):
+            raise ValueError(f"vertex ids must be ints, got dtype {faces.dtype}")
+        if faces.ndim != 2 or faces.shape[1] != k:
+            raise ValueError(f"faces must have {k} vertices each, got shape {faces.shape}")
+        if faces.size and (faces.min() < 0 or faces.max() >= n):
+            raise ValueError(f"vertex ids out of range [0, {n})")
+        if (faces[:, 1:] <= faces[:, :-1]).any():
+            raise ValueError("faces must be strictly increasing")
         if len(faces) > 1:  # sort and merge by colex rank; one face needs no table
-            table = colex_array(n, k)
-            ranks = sum(table[i + 1].take(faces[:, i]) for i in range(k))
-            faces = faces[np.unique(ranks, return_index=True)[1]]
+            faces = faces[np.unique(face_ranks(n, faces), return_index=True)[1]]
         self.n = n
         self.dim = dim
         self.faces = faces.astype(np.int32)
@@ -406,7 +399,7 @@ def complex_from_json(text: str) -> Complex:
         isinstance(f, list) and all(isinstance(v, int) for v in f) for f in faces
     ):
         raise ValueError("complex JSON field 'faces' must be a list of integer lists")
-    return Complex(n, dim, [_shift_to_internal(raw, n) for raw in faces])
+    return Complex(n, dim, [_shift_to_internal(raw, n, dim + 1) for raw in faces])
 
 
 def complex_to_text(Y: Complex) -> str:
@@ -443,19 +436,22 @@ def complex_from_text(text: str) -> Complex:
     faces = []
     for lineno, ids in face_rows:
         try:
-            faces.append(_validate_face(_shift_to_internal(ids, n), n, dim))
+            faces.append(_shift_to_internal(ids, n, dim + 1))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return Complex(n, dim, faces)
 
 
-def _shift_to_internal(ids: Sequence[int], n: int) -> tuple[int, ...]:
-    shifted = []
+def _shift_to_internal(ids: Sequence[int], n: int, k: int) -> list[int]:
+    """The sorted 0-based vertices of a face of k distinct 1-based labels in [1, n]."""
+    if len(ids) != k:
+        raise ValueError(f"face {ids} must have {k} vertices")
     for v in ids:
         if not 1 <= v <= n:
             raise ValueError(f"vertex label {v} outside [1, {n}]")
-        shifted.append(v - 1)
-    return tuple(sorted(shifted))
+    if len(set(ids)) != k:
+        raise ValueError(f"face {ids} repeats a vertex")
+    return sorted(v - 1 for v in ids)
 
 
 def save_complex(Y: Complex, path: str, fmt: str | None = None) -> None:

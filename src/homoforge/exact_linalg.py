@@ -18,6 +18,7 @@ space. Dense products mod p are kept below 2^63.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -57,8 +58,12 @@ class SparseIntMatrix:
     def set(self, r: int, c: int, v: int) -> None:
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise ValueError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise ValueError(f"entry ({r},{c}) = {v!r} is not an integer") from None
         if v:
-            self.columns.setdefault(c, {})[r] = int(v)
+            self.columns.setdefault(c, {})[r] = v
         elif c in self.columns:
             col = self.columns[c]
             col.pop(r, None)

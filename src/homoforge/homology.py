@@ -17,6 +17,7 @@ from .exact_linalg import (
     SparseIntMatrix,
     boundary_columns_dense,  # unused; perfbench's tracer wraps this binding
     boundary_matrix,
+    check_prime,
     quotient_map_mod_p,
     rank_mod_p,
     smith_normal_form,
@@ -44,6 +45,7 @@ class HomologySummary:
 
         Universal coefficients, since H_{d-2} of a full skeleton is free.
         """
+        check_prime(p)
         return self.betti + sum(1 for t in self.torsion if t % p == 0)
 
     def ln_torsion_order(self) -> float:

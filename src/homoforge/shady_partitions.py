@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .complexes import Complex, TripleSet, _require_dim2, _unrank_array, edge_cover_counts
-from .complexes import json_int_field
+from .complexes import face_ranks, facet_ranks, json_int_field
 
 
 @dataclass(frozen=True)
@@ -94,19 +94,6 @@ def cascade(bad: TripleSet, T: Thresholds) -> CascadeResult:
     )
 
 
-def _has_good_cone(bad: TripleSet, t: tuple[int, int, int]) -> bool:
-    """Some apex v outside t with all three cone triangles over t good."""
-    x, y, z = t
-    for v in range(bad.n):
-        if v in t:
-            continue
-        if not (
-            bad.contains((x, y, v)) or bad.contains((x, z, v)) or bad.contains((y, z, v))
-        ):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class ShadyReport:
     """Outcome of checking a labeling against a complex.
@@ -144,13 +131,20 @@ class ShadyReport:
 
 
 def verify_shady(Y: Complex, bad: TripleSet, T: Thresholds) -> ShadyReport:
-    """Check the bad side of a labeling: faces good, bad-triple budget, cone closure."""
+    """Check the bad side of a labeling: faces good, bad-triple budget, cone closure.
+
+    The cone over a bad triple t from an apex v is the tetrahedron t + v less
+    t, all good iff that tetrahedron has one bad facet: one facet_ranks per v.
+    """
     _require_dim2(Y)
     if Y.n != bad.n:
         raise ValueError(f"complex has n={Y.n} but labels have n={bad.n}")
-    faces_good = not any(bad.contains(f) for f in Y.faces.tolist())
+    member = bad.mask()
+    faces_good = not member[face_ranks(Y.n, Y.faces)].any()
     within_budget = bad.size <= T.max_bad_triples
-    cone_closed = all(not _has_good_cone(bad, t) for t in bad.triples())
+    triples = _unrank_array(np.flatnonzero(member), Y.n, 3)
+    cones = (np.sort(np.insert(triples[(triples != v).all(1)], 3, v, axis=1)) for v in range(Y.n))
+    cone_closed = not any((member[facet_ranks(Y.n, t)].sum(1) == 1).any() for t in cones)
     casc = cascade(bad, T)
     return ShadyReport(
         faces_all_good=faces_good,

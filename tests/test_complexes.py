@@ -21,8 +21,8 @@ from homoforge.complexes import (
     complex_to_text,
     edge_cover_counts,
     facet_ranks,
+    face_ranks,
     rank_face,
-    rank_triple,
     sample_binomial,
     sample_fixed_size,
     uncovered_edges,
@@ -50,40 +50,40 @@ def cover_counts(Y):
 
 class TestRanking:
     def test_smallest_triple(self):
-        assert rank_triple((0, 1, 2), 5) == 0
+        assert rank_face((0, 1, 2)) == 0
 
     def test_largest_triple(self):
-        assert rank_triple((2, 3, 4), 5) == math.comb(5, 3) - 1
+        assert rank_face((2, 3, 4)) == math.comb(5, 3) - 1
 
     def test_colex_enumeration_oracle(self):
         # independent oracle: sort all triples by reversed tuple (colex order)
         for n in (4, 5, 7):
             expected = colex_order(n, 3)
             for r, t in enumerate(expected):
-                assert rank_triple(t, n) == r
+                assert rank_face(t) == r
                 assert unranked([r], n, 3) == [t]
-        assert rank_triple((0, 1, 3), 5) == 1  # second in colex order
+        assert rank_face((0, 1, 3)) == 1  # second in colex order
 
     def test_round_trip_bijection(self):
         n = 9
-        ranks = {rank_triple(t, n) for t in combinations(range(n), 3)}
+        ranks = {rank_face(t) for t in combinations(range(n), 3)}
         assert ranks == set(range(math.comb(n, 3)))
 
     def test_monotone_in_colex(self):
         n = 8
         prev = -1
         for t in colex_order(n, 3):
-            r = rank_triple(t, n)
+            r = rank_face(t)
             assert r == prev + 1
             prev = r
 
     def test_invalid_triples_rejected(self):
         with pytest.raises(ValueError):
-            rank_triple((0, 1, 5), 5)
+            Complex(5, 2, [(0, 1, 5)])
         with pytest.raises(ValueError):
-            rank_triple((2, 1, 0), 5)
+            Complex(5, 2, [(2, 1, 0)])
         with pytest.raises(ValueError):
-            rank_triple((0, 0, 1), 5)
+            Complex(5, 2, [(0, 0, 1)])
 
     def test_edge_ranking(self):
         for n in (3, 6, 10):
@@ -99,6 +99,18 @@ class TestRanking:
         for k in (2, 3, 4):
             faces = unranked(range(math.comb(8, k)), 8, k)
             assert [rank_face(f) for f in faces] == list(range(math.comb(8, k)))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_face_ranks_match_rank_face(self, k):
+        # C(2000, 8) > 2^63, so k = 8 sums the object table of Python ints
+        rng = random.Random(k)
+        for n in (k, 9, MAX_VERTICES):
+            faces = [tuple(range(k)), tuple(range(n - k, n))]
+            faces += [tuple(sorted(rng.sample(range(n), k))) for _ in range(20)]
+            got = face_ranks(n, np.array(faces, dtype=np.int32))
+            assert got.dtype == (object if (n, k) == (MAX_VERTICES, 8) else np.int64)
+            assert got.tolist() == [rank_face(f) for f in faces]
+        assert face_ranks(9, np.empty((0, k), dtype=np.int32)).tolist() == []
 
     @settings(max_examples=300, deadline=None)
     @given(kr=RANKED_FACES)
@@ -182,6 +194,39 @@ class TestTripleSet:
     def test_ranks_of_full_set(self):
         full = TripleSet(80).complement()
         assert np.array_equal(full.ranks(), np.arange(math.comb(80, 3)))
+
+    @pytest.mark.parametrize("n", [3, 7, 12])
+    def test_mask_matches_ranks(self, n):
+        rng = random.Random(n)
+        for bits in (0, (1 << math.comb(n, 3)) - 1, rng.getrandbits(math.comb(n, 3))):
+            ts = TripleSet(n, bits)
+            mask = ts.mask()
+            assert mask.dtype == bool and len(mask) == math.comb(n, 3)
+            assert np.array_equal(np.flatnonzero(mask), ts.ranks())
+            assert TripleSet.from_mask(n, mask).bits == bits
+
+    def test_bits_range_checked(self):
+        # a bit past C(5,3) = 10 was kept, and ranks() then overflowed
+        with pytest.raises(ValueError, match=r"rank 20 >= C\(5,3\)"):
+            TripleSet(5, 1 << 20)
+        with pytest.raises(ValueError, match=r"rank 10 >= C\(5,3\)"):
+            TripleSet(5, 2**11 - 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            TripleSet(5, -1)
+        assert TripleSet(5, 2**10 - 1).size == 10
+
+    def test_of_matches_bitwise_or(self):
+        rng = random.Random(4)
+        n = 9
+        all_triples = list(combinations(range(n), 3))
+        for size in (0, 1, 30, len(all_triples)):
+            picked = rng.sample(all_triples, size)
+            shuffled = [rng.sample(t, 3) for t in picked + picked[: size // 2]]
+            bits = 0
+            for t in picked:
+                bits |= 1 << rank_face(t)
+            assert TripleSet.of(n, shuffled).bits == bits
+            assert TripleSet.of(n, iter(shuffled)).bits == bits
 
     def test_complement(self):
         ts = TripleSet.of(5, [(0, 1, 2)])
@@ -275,6 +320,28 @@ class TestConstructor:
                 Complex(self.N, d, [face])
             with pytest.raises(ValueError):
                 Complex(self.N, d, np.array([face]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ragged_rows_rejected(self, d):
+        good = tuple(range(d + 1))
+        for faces in ([good, good[:-1]], [good, good + (d + 1,)], [good[:-1], good]):
+            with pytest.raises(ValueError, match=f"faces must have {d + 1} vertices each"):
+                Complex(self.N, d, faces)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_numpy_int_tuples(self, d):
+        faces = list(combinations(range(self.N), d + 1))[::3]
+        for dtype in (np.int8, np.int32, np.int64, np.uint16):
+            rows = [tuple(dtype(v) for v in f) for f in faces]
+            assert Complex(self.N, d, rows) == Complex(self.N, d, faces)
+            assert Complex(self.N, d, rows) == Complex(self.N, d, np.array(faces))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_iterable(self, d):
+        for faces in ([], (), iter([]), (f for f in [])):
+            Y = Complex(self.N, d, faces)
+            assert Y.faces.shape == (0, d + 1) and Y.faces.dtype == np.int32
+            assert Y == Complex(self.N, d) == Complex(self.N, d, np.empty((0, d + 1), int))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_faces_read_only(self, d):
@@ -516,6 +583,17 @@ class TestSerialization:
             complex_from_text("# n=4 dim=2\n1 2\n")
         with pytest.raises(ValueError, match="line 2"):
             complex_from_text("# n=4 dim=2\n1 2 9\n")
+
+    def test_short_json_face_named(self):
+        doc = '{"n": 5, "dim": 2, "faces": [[1, 2, 3], [4, 5]]}'
+        with pytest.raises(ValueError, match=r"face \[4, 5\] must have 3 vertices"):
+            complex_from_json(doc)
+
+    def test_repeated_text_label_names_line(self):
+        with pytest.raises(ValueError, match=r"line 3: face \[1, 1, 2\] repeats a vertex"):
+            complex_from_text("# n=4 dim=2\n1 2 3\n1 1 2\n")
+        with pytest.raises(ValueError, match="repeats a vertex"):
+            complex_from_json('{"n": 4, "dim": 2, "faces": [[2, 1, 2]]}')
 
     def test_duplicate_faces_merge(self):
         # a face listed twice, in any vertex order, loads as one face

@@ -148,6 +148,23 @@ class TestSparseIntMatrix:
         dense = [[1, 0, -3], [0, 0, 7]]
         assert SparseIntMatrix.from_dense(dense).to_dense() == dense
 
+    def test_non_integer_entries_rejected(self):
+        # they were truncated: [[1.7, 0], [0, 2.2]] had the Smith form (1, 2),
+        # and 0.5 was stored as an explicit zero
+        with pytest.raises(ValueError, match=r"entry \(0,0\) = 1.7 is not an integer"):
+            SparseIntMatrix.from_dense([[1.7, 0], [0, 2.2]])
+        m = SparseIntMatrix(2, 2)
+        for v in (0.5, 2.0, np.float64(3.0), "1", None):
+            with pytest.raises(ValueError, match=r"entry \(1,0\)"):
+                m.set(1, 0, v)
+        assert m.nnz == 0
+        m.set(1, 0, np.int64(-4))
+        m.set(0, 1, True)
+        assert m.to_dense() == [[0, 1], [-4, 0]]
+        assert all(type(v) is int for col in m.columns.values() for v in col.values())
+        dense = np.array([[2, 4], [6, 8]], dtype=np.int32)
+        assert SparseIntMatrix.from_dense(dense).to_dense() == dense.tolist()
+
 
 class TestMatrixFile:
     def test_round_trip(self, tmp_path):

@@ -84,6 +84,14 @@ class TestBetti:
         for p in (2, 3, 5):
             assert summary.betti_mod(p) == betti1_mod_p(Y, p)
 
+    def test_betti_mod_needs_a_prime(self):
+        # the universal-coefficient count holds for primes only; 0 divided by zero
+        summary = HomologySummary(1, (2, 6, 12))
+        assert (summary.betti_mod(2), summary.betti_mod(3)) == (4, 3)
+        for p in (4, 6, 1, -2, 0):
+            with pytest.raises(ValueError, match="not prime"):
+                summary.betti_mod(p)
+
 
 class TestHomologyZ:
     def test_full_complex_trivial(self):

@@ -51,6 +51,24 @@ def test_no_unused_imports(perfbench):
     assert unused == []
 
 
+def test_no_dead_private_definitions():
+    # a module-level _function or _Class in src/homoforge is referenced there
+    trees = [ast.parse(path.read_text()) for path in sorted(SOURCES.glob("*.py"))]
+    defined = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert [name for name in defined if name not in used] == []
+
+
 def test_micro_benchmarks_run(perfbench, monkeypatch):
     _, micro = perfbench
     monkeypatch.setattr(micro, "PREFIX_N", 8)

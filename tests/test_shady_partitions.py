@@ -4,7 +4,7 @@ import random
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_complex
@@ -37,6 +37,29 @@ def brute_force_cascade(L, T):
         if count > T.theta_vertex:
             bad_vertices.add(v)
     return bad_edges, bad_vertices
+
+
+def cone_closed_oracle(L):
+    """No bad triple t has an apex v outside t whose three cone triangles are all good."""
+    for t in L.triples():
+        for v in range(L.n):
+            if v not in t and not any(
+                L.contains(tuple(sorted(set(t) - {u} | {v}))) for u in t
+            ):
+                return False
+    return True
+
+
+@st.composite
+def labelings(draw):
+    """A bad set on n <= 9 vertices: random bits, or a shadow's complement, which is closed."""
+    n = draw(st.integers(1, 9))
+    total = math.comb(n, 3)
+    if draw(st.booleans()):
+        return TripleSet(n, draw(st.integers(0, 2**total - 1)))
+    ranks = draw(st.sets(st.integers(0, max(total - 1, 0)), max_size=total))
+    faces = [t for r, t in enumerate(combinations(range(n), 3)) if r in ranks]
+    return shadow(Complex(n, 2, faces), draw(st.sampled_from([2, 3]))).complement()
 
 
 class TestThresholds:
@@ -158,6 +181,17 @@ class TestVerifyShady:
         T = Thresholds(theta_edge=1, theta_vertex=1, max_bad_triples=3)
         report = verify_shady(Complex(n), L, T)
         assert not report.bad_count_within_budget
+
+    @settings(max_examples=200, deadline=None)
+    @given(L=labelings())
+    @example(L=TripleSet(9))
+    @example(L=TripleSet(9).complement())
+    @example(L=TripleSet.of(9, [(0, 1, 2)]))
+    @example(L=TripleSet(4, 0b0111))
+    @example(L=TripleSet(3).complement())
+    def test_cone_closed_matches_scan(self, L):
+        T = Thresholds(theta_edge=1, theta_vertex=1, max_bad_triples=10**6)
+        assert verify_shady(Complex(L.n), L, T).cone_closed == cone_closed_oracle(L)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
