@@ -188,6 +188,15 @@ class TripleSet:
 MAX_VERTICES = 2_000
 
 
+def _check_size(n: int, dim: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"need n <= {MAX_VERTICES}, got {n}")
+    if dim < 1:
+        raise ValueError(f"need dim >= 1, got {dim}")
+
+
 class Complex:
     """An n-vertex complex with full (dim-1)-skeleton and an explicit face set.
 
@@ -202,12 +211,7 @@ class Complex:
     __slots__ = ("n", "dim", "faces")
 
     def __init__(self, n: int, dim: int = 2, faces: Iterable[Sequence[int]] | np.ndarray = ()):
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        if n > MAX_VERTICES:
-            raise ValueError(f"need n <= {MAX_VERTICES}, got {n}")
-        if dim < 1:
-            raise ValueError(f"need dim >= 1, got {dim}")
+        _check_size(n, dim)
         k = dim + 1
         if not isinstance(faces, np.ndarray):
             rows = list(faces) or np.empty((0, k), dtype=np.int32)
@@ -395,10 +399,12 @@ def complex_from_json(text: str) -> Complex:
     if "faces" not in doc:
         raise ValueError("complex JSON missing field 'faces'")
     faces = doc["faces"]
+    # bool is a subclass of int, but true is no vertex label
     if not isinstance(faces, list) or not all(
-        isinstance(f, list) and all(isinstance(v, int) for v in f) for f in faces
+        isinstance(f, list) and all(type(v) is int for v in f) for f in faces
     ):
         raise ValueError("complex JSON field 'faces' must be a list of integer lists")
+    _check_size(n, dim)
     return Complex(n, dim, [_shift_to_internal(raw, n, dim + 1) for raw in faces])
 
 
@@ -415,24 +421,24 @@ def complex_from_text(text: str) -> Complex:
         stripped = line.strip()
         if not stripped:
             continue
-        if stripped.startswith("#"):
-            for token in stripped[1:].split():
-                if token.startswith("n="):
-                    n = int(token[2:])
-                elif token.startswith("dim="):
-                    dim = int(token[4:])
-            continue
         try:
-            ids = [int(tok) for tok in stripped.split()]
+            if stripped.startswith("#"):
+                for token in stripped[1:].split():
+                    if token.startswith("n="):
+                        n = int(token[2:])
+                    elif token.startswith("dim="):
+                        dim = int(token[4:])
+            else:
+                face_rows.append((lineno, [int(tok) for tok in stripped.split()]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        face_rows.append((lineno, ids))
     if not face_rows and n is None:
         raise ValueError("empty complex file without an '# n=.. dim=..' header")
     if dim is None:
         dim = len(face_rows[0][1]) - 1 if face_rows else 2
     if n is None:
         n = max(max(ids) for _, ids in face_rows)
+    _check_size(n, dim)
     faces = []
     for lineno, ids in face_rows:
         try:

@@ -4,14 +4,14 @@ A sparse matrix is stored by columns, each a {row: nonzero value} dict.
 boundary_matrix and the dense builders take every face's rows from one
 complexes.facet_ranks call over the face array; no campaign builds a
 whole boundary, so boundary_matrix and rank_mod_p serve betti1_mod_p,
-the reference for shadows. Both eliminations copy a matrix's columns
-into a column store with a row index and run one sparse unit-pivot loop:
-over Z a unit is +-1, over F_p any nonzero entry. The loop peels columns
-with a single unit entry first, which needs no fill-in (homology's
-_cycle_residual peels the lone units of a face array in rounds before
-any store is built). Over Z the Smith normal form then diagonalises the
-residual core by division with remainder on Python integers; over F_p
-the pivots give the rank and a quotient map whose kernel is the column
+the reference for shadows. Both algebras run one sparse pivot loop,
+_pivots, on a column store with a row index: over Z a unit is +-1, over
+F_p any nonzero entry. It takes columns with a single unit entry first,
+which needs no fill-in (homology's _cycle_residual peels the lone units
+of a face array in rounds before any store is built), then one sweep of
+unit pivots, then over Z the least entries of what is left, by division
+with remainder on Python integers. Over Z the pivots give the Smith
+normal form, over F_p the rank and a quotient map whose kernel is the column
 space. Dense products mod p are kept below 2^63.
 """
 
@@ -230,27 +230,7 @@ def check_prime(p: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# sparse column store and unit-pivot elimination over Z and F_p
-
-
-def _column_store(
-    M: SparseIntMatrix, p: int = 0
-) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
-    """(cols, rows): copies of M's columns, reduced mod p when p is given.
-
-    cols maps column -> {row: nonzero value} and rows maps row -> the set
-    of columns with a nonzero entry there; both eliminations work on them.
-    """
-    cols = {}
-    for c, col in M.columns.items():
-        col = {r: w for r, v in col.items() if (w := v % p)} if p else dict(col)
-        if col:
-            cols[c] = col
-    rows: dict[int, set[int]] = {}
-    for c, col in cols.items():
-        for r in col:
-            rows.setdefault(r, set()).add(c)
-    return cols, rows
+# one sparse pivot elimination over Z and F_p
 
 
 def _add_column(
@@ -282,56 +262,74 @@ def _add_column(
     return len(col2)
 
 
-def _eliminate_unit_pivots(
-    cols: dict[int, dict[int, int]], rows: dict[int, set[int]], p: int = 0
-) -> Iterator[tuple[int, dict[int, int]]]:
-    """Eliminate unit pivots in place over Z/p (Z for p = 0), in column sweeps.
+def _pivots(M: SparseIntMatrix, p: int = 0) -> Iterator[tuple[int, dict[int, int], int]]:
+    """Eliminate a copy of M over Z/p (Z for p = 0); yields (row, column, u) per pivot.
 
-    A unit is +-1 over Z and any nonzero entry over F_p. Lone columns, those
-    with exactly one entry, go first: a stack holds the initial ones and
-    every column that a pivot shrinks to one entry, and it is emptied
-    before the sweep takes its next column. A lone unit u at row r clears
-    its row by deleting entry r from the other columns of the row, since
-    subtracting (v / u) times the column removes v and touches nothing
-    else; so peeling adds no fill-in, and a column it empties is dropped.
-    Deleting entries makes more columns lone, so peeling cascades. Over Z a
-    lone non-unit is skipped. homology peels the lone units of its cycle
-    coordinates itself (homology._cycle_residual), so there the stack takes
-    only columns that fill-in leaves lone.
+    The copy is a column store: cols maps column -> {row: nonzero value},
+    reduced mod p when p is given, and rows maps row -> its columns. A unit
+    is +-1 over Z, its own inverse, and any nonzero entry over F_p.
 
-    Otherwise a column that still has a unit pivots on the one whose row has
-    the fewest columns: column operations clear its row from every other
-    column, and its row and column are dropped. Fill-in can create a unit
-    over Z in a column already passed, so sweeps repeat until one takes no
-    pivot; over F_p the first sweep leaves no column. Yields each (pivot
-    row, pivot column) as taken; the pivot column is as it stood then, so
-    it has no entry in an earlier pivot row. cols and rows are a column
-    store as _column_store builds it; emptied rows and columns are removed.
+    One pivot step serves every pivot u at (r, c). Column operations reduce
+    row r of every other column by the nearest quotient, exact for a unit
+    and (2v + u) // 2u for a non-unit over Z, whose least remainder, if any
+    is left, becomes the pivot as the step repeats. Row r is then zero
+    outside column c, so row operations would clear the column touching no
+    other: a unit's column is dropped as it stands, and a non-unit's is
+    reduced by the nearest quotient too, a remainder again becoming the
+    pivot. Each remainder is at most |u| / 2, so every step ends.
+
+    The pivot is chosen in one loop, in this order:
+    1. a lone unit column, one with a single entry; it clears its row by
+       deleting the row's entries from the other columns, with no fill-in.
+       A stack holds the initial lone columns and every column that a pivot
+       shrinks to one entry; over Z a lone non-unit is skipped;
+    2. the next column of one sweep in insertion order that has a unit,
+       pivoted on the unit whose row has the fewest columns;
+    3. once the sweep is done, the first remaining column, pivoted on its
+       entry of least |u|. Over F_p the sweep leaves no column.
+
+    Each pivot column is yielded as it stood when its row was cleared, so it
+    has no entry in an earlier pivot row. The invariant factors are unique,
+    so the order changes only the cost. homology peels the lone units of its
+    cycle coordinates itself (homology._cycle_residual), so there the stack
+    takes only columns that fill-in leaves lone.
     """
+    cols = {}
+    for c, col in M.columns.items():
+        col = {r: w for r, v in col.items() if (w := v % p)} if p else dict(col)
+        if col:
+            cols[c] = col
+    rows: dict[int, set[int]] = {}
+    for c, col in cols.items():
+        for r in col:
+            rows.setdefault(r, set()).add(c)
     lone = [c for c, col in cols.items() if len(col) == 1]
-    swept = True
-    while swept:
-        swept = False
-        for c in list(cols):
-            while lone:
-                c1 = lone.pop()
-                col = cols.get(c1)
-                if col is None or len(col) != 1:
-                    continue
-                [(r, u)] = col.items()
-                if not p and u != 1 and u != -1:
-                    continue
-                del cols[c1]
-                for c2 in rows.pop(r):
-                    if c2 != c1:
-                        col2 = cols[c2]
-                        del col2[r]
-                        if len(col2) == 1:
-                            lone.append(c2)
-                        elif not col2:
-                            del cols[c2]
-                swept = True
-                yield r, col
+    sweep = iter(list(cols))
+    while cols:
+        if lone:
+            c = lone.pop()
+            col = cols.get(c)
+            if col is None or len(col) != 1:
+                continue
+            [(r, u)] = col.items()
+            if not p and u != 1 and u != -1:
+                continue
+            del cols[c]
+            for c2 in rows.pop(r):
+                if c2 != c:
+                    col2 = cols[c2]
+                    del col2[r]
+                    if len(col2) == 1:
+                        lone.append(c2)
+                    elif not col2:
+                        del cols[c2]
+            yield r, col, u
+            continue
+        c = next(sweep, None)
+        if c is None:
+            c, col = next(iter(cols.items()))
+            r = min(col, key=lambda r: abs(col[r]))
+        else:
             col = cols.get(c)
             if col is None:
                 continue
@@ -339,28 +337,48 @@ def _eliminate_unit_pivots(
             r = min(units, key=lambda r: len(rows[r]), default=None)
             if r is None:
                 continue
-            del cols[c]
-            # a unit u = +-1 over Z is its own inverse
-            inv = pow(col[r], -1, p) if p else col[r]
+        while True:
+            col = cols[c]
+            u = col[r]
+            unit = p or u == 1 or u == -1
+            inv = pow(u, -1, p) if p else u
             for c2 in list(rows[r]):
                 if c2 != c:
-                    if _add_column(cols, rows, c2, col, -cols[c2][r] * inv, p) == 1:
+                    v = cols[c2][r]
+                    # (2v + u) // 2u rounds v / u to the nearest integer for either sign of u
+                    q = v * inv if unit else (2 * v + u) // (2 * u)
+                    if q and _add_column(cols, rows, c2, col, -q, p) == 1:
                         lone.append(c2)
-            # row r is now zero outside column c, so row operations clear the
-            # rest of column c without touching any other column
+            if len(rows[r]) > 1:
+                # every remainder is below |u|, so the least entry is one of them
+                c = min(rows[r], key=lambda c2: abs(cols[c2][r]))
+                continue
+            if not unit:
+                for r2 in list(col):
+                    if r2 != r:
+                        w = col[r2] - (2 * col[r2] + u) // (2 * u) * u
+                        if w:
+                            col[r2] = w
+                        else:
+                            del col[r2]
+                            rows[r2].discard(c)
+                if len(col) > 1:
+                    r = min(col, key=lambda r2: abs(col[r2]))
+                    continue
+            del cols[c]
             for r2 in col:
                 cs = rows[r2]
                 cs.discard(c)
                 if not cs:
                     del rows[r2]
-            swept = True
-            yield r, col
+            yield r, col, u
+            break
 
 
 def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
     """Rank of M over F_p: the pivot count of its sparse elimination."""
     check_prime(p)
-    return sum(1 for _ in _eliminate_unit_pivots(*_column_store(M, p), p))
+    return sum(1 for _ in _pivots(M, p))
 
 
 def quotient_map_mod_p(M: SparseIntMatrix, p: int) -> np.ndarray:
@@ -380,7 +398,7 @@ def quotient_map_mod_p(M: SparseIntMatrix, p: int) -> np.ndarray:
     entry besides its pivot leaves its row zero.
     """
     check_prime(p)
-    pivots = list(_eliminate_unit_pivots(*_column_store(M, p), p))
+    pivots = [(r, col) for r, col, _ in _pivots(M, p)]
     pivot_rows = {r for r, _ in pivots}
     free = [r for r in range(M.rows) if r not in pivot_rows]
     Q = np.zeros((M.rows, len(free)), dtype=np.int64)
@@ -551,29 +569,22 @@ class SnfResult:
 def smith_normal_form(M: SparseIntMatrix) -> SnfResult:
     """Invariant factors of M over the integers; the input is not mutated.
 
-    Three steps on one sparse column store, exact over Python integers;
-    the eliminations are unimodular, so the cokernel and hence the
-    torsion are kept:
+    Two steps, exact over Python integers:
 
-    1. Unit-pivot elimination (_eliminate_unit_pivots); each pivot drops
-       its row and column and counts one invariant factor 1. Columns that
-       are a lone +-1 go first and clear their row by deleting entries,
-       with no fill-in; then sweeps over the columns pivot each remaining
-       +-1 entry on the row with the fewest columns, by column operations.
-       The invariant factors of a matrix are unique, so the pivot order
-       changes only the cost, never the factors. Boundary matrices have
-       +-1 entries, so this usually eliminates all of them; homology_Z
-       peels the lone units of its cycle coordinates before this step.
-    2. Elimination of the residual core (the rows and columns still
-       nonzero) by division with remainder, which leaves it diagonal.
-    3. A gcd/lcm exchange puts that diagonal in divisibility order. It
-       covers the core only: the counted 1s divide every factor already,
-       and a pairwise pass over them would be quadratic in the rank,
-       which is in the hundreds for a boundary matrix.
+    1. _pivots eliminates a copy of M by unimodular steps, which keep the
+       cokernel and hence the torsion, and leaves it diagonal: each pivot
+       u drops its row and column and leaves |u|. Boundary matrices have
+       +-1 entries, so most pivots are units and count an invariant factor
+       1; homology_Z peels the lone units of its cycle coordinates before
+       this step.
+    2. A gcd/lcm exchange puts the other entries in divisibility order. It
+       covers those only: the counted 1s divide every factor already, and
+       a pairwise pass over them would be quadratic in the rank, which is
+       in the hundreds for a boundary matrix.
     """
-    cols, rows = _column_store(M)
-    ones = sum(1 for _ in _eliminate_unit_pivots(cols, rows))
-    core = _eliminate_core(cols, rows)
+    diagonal = [abs(u) for _, _, u in _pivots(M)]
+    core = [d for d in diagonal if d != 1]
+    ones = len(diagonal) - len(core)
     for i in range(len(core)):
         for j in range(i + 1, len(core)):
             g = math.gcd(core[i], core[j])
@@ -582,55 +593,6 @@ def smith_normal_form(M: SparseIntMatrix) -> SnfResult:
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0, f"invariant factor chain broken: {a} does not divide {b}"
     return SnfResult(tuple(factors))
-
-
-def _eliminate_core(
-    cols: dict[int, dict[int, int]], rows: dict[int, set[int]]
-) -> list[int]:
-    """Diagonalise what is left, emptying cols and rows; returns the |pivots|.
-
-    The first remaining column pivots on its entry u of least |u|. Column
-    operations reduce u's row by the nearest quotient; a nonzero remainder
-    becomes the pivot and the step repeats. Once the row is zero elsewhere,
-    row operations reduce u's column, touching no other column; again a
-    remainder becomes the pivot. Otherwise |u| is a diagonal entry and its
-    row and column are dropped. Each remainder is at most |u| / 2, so |u|
-    strictly falls and every pivot ends.
-    """
-    diagonal = []
-    while cols:
-        c, col = next(iter(cols.items()))
-        r = min(col, key=lambda r: abs(col[r]))
-        while True:
-            col = cols[c]
-            u = col[r]
-            # (2a + u) // 2u rounds a / u to the nearest integer for either sign of u
-            for c2 in list(rows[r]):
-                if c2 != c:
-                    q = (2 * cols[c2][r] + u) // (2 * u)
-                    if q:
-                        _add_column(cols, rows, c2, col, -q)
-            if len(rows[r]) > 1:
-                # every remainder is below |u|, so the least entry is one of them
-                c = min(rows[r], key=lambda c2: abs(cols[c2][r]))
-                continue
-            for r2 in list(col):
-                if r2 != r:
-                    w = col[r2] - (2 * col[r2] + u) // (2 * u) * u
-                    if w:
-                        col[r2] = w
-                    else:
-                        del col[r2]
-                        rows[r2].discard(c)
-                        if not rows[r2]:
-                            del rows[r2]
-            if len(col) > 1:
-                r = min(col, key=lambda r2: abs(col[r2]))
-                continue
-            diagonal.append(abs(u))
-            del cols[c], rows[r]
-            break
-    return diagonal
 
 
 # ---------------------------------------------------------------------------

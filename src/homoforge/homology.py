@@ -114,9 +114,10 @@ def homology_Z_faces(n: int, d: int, faces: np.ndarray) -> HomologySummary:
     peeling a row only shrinks columns, the peeled rows are a closure, the
     same in every order (a row peeled in one order has its column's other
     rows peeled first, so by induction no order stops short of it). So the
-    residual is what the unit-pivot kernel leaves of the whole cut matrix
+    residual is what exact_linalg._pivots leaves of the whole cut matrix
     once its lone stack is empty, before its first sweep column: the same
-    columns and entries in the same order, less zero rows: the sweeps agree.
+    columns and entries in the same order, less zero rows, so the rest of
+    its pivots agree.
     """
     residual = _cycle_residual(n, d, faces)[1]
     snf = smith_normal_form(residual)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import combinations, permutations
@@ -594,6 +595,28 @@ class TestSerialization:
             complex_from_text("# n=4 dim=2\n1 2 3\n1 1 2\n")
         with pytest.raises(ValueError, match="repeats a vertex"):
             complex_from_json('{"n": 4, "dim": 2, "faces": [[2, 1, 2]]}')
+
+    @pytest.mark.parametrize(
+        "n, dim, face, message",
+        [(4, 0, [1, 2, 3], "need dim >= 1, got 0"), (0, 2, [1, 2, 3], "need n >= 1, got 0"),
+         (2001, 2, [1, 2, 2002], "need n <= 2000, got 2001")],
+    )
+    def test_size_checked_before_faces(self, n, dim, face, message):
+        # the face does not fit n or dim either, but the bad size is named
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            complex_from_json(json.dumps({"n": n, "dim": dim, "faces": [face]}))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            complex_from_text(f"# n={n} dim={dim}\n{' '.join(map(str, face))}\n")
+
+    def test_boolean_json_label_rejected(self):
+        # bool is an int in Python; true must not load as vertex 1
+        with pytest.raises(ValueError, match="must be a list of integer lists"):
+            complex_from_json('{"n": 4, "dim": 2, "faces": [[true, 2, 3]]}')
+
+    @pytest.mark.parametrize("header", ["# n=abc dim=2", "# n=4 dim=x"])
+    def test_bad_text_header_names_line(self, header):
+        with pytest.raises(ValueError, match="^line 1: invalid literal"):
+            complex_from_text(f"{header}\n1 2 3\n")
 
     def test_duplicate_faces_merge(self):
         # a face listed twice, in any vertex order, loads as one face

@@ -23,8 +23,7 @@ from homoforge.exact_linalg import (
     MatrixFormatError,
     SparseIntMatrix,
     _add_column,
-    _column_store,
-    _eliminate_unit_pivots,
+    _pivots,
     boundary_columns_dense,
     boundary_matrix,
     boundary_vector_dense,
@@ -109,7 +108,7 @@ def h_delta_prefix(n, seed):
 def quotient_map_by_rows(m, p):
     """Q of quotient_map_mod_p in Python integers: the identity on the free
     rows, then one pivot row at a time in reverse pivot order."""
-    pivots = list(_eliminate_unit_pivots(*_column_store(m, p), p))
+    pivots = [(r, col) for r, col, _ in _pivots(m, p)]
     pivot_rows = {r for r, _ in pivots}
     free = [r for r in range(m.rows) if r not in pivot_rows]
     Q = [[0] * len(free) for _ in range(m.rows)]
@@ -596,7 +595,7 @@ class TestSmithNormalForm:
             assert res.invariant_factors == base
 
 
-class TestEliminateUnitPivots:
+class TestPivots:
     @settings(max_examples=300, deadline=None)
     @given(dense=unit_pivot_matrices())
     # the first pivot (column 1) leaves the only unit in the swept column 0
@@ -605,25 +604,22 @@ class TestEliminateUnitPivots:
     @example(dense=[[2, 1], [0, 1]])
     # two identical lone columns: the first pivot empties the second
     @example(dense=[[1, 1]])
-    def test_no_unit_left_and_index_consistent(self, dense):
-        cols, rows = {}, {}
-        for c in range(len(dense[0])):
-            for r, row in enumerate(dense):
-                if row[c]:
-                    cols.setdefault(c, {})[r] = row[c]
-                    rows.setdefault(r, set()).add(c)
-        taken = sum(1 for _ in _eliminate_unit_pivots(cols, rows))
-        assert all(v not in (1, -1) for col in cols.values() for v in col.values())
-        assert all(cols.values())
-        indexed = {}
-        for c, col in cols.items():
-            for r in col:
-                indexed.setdefault(r, set()).add(c)
-        assert rows == indexed
-        core = [[col.get(r, 0) for col in cols.values()] for r in rows]
-        # unimodular steps: the pivots are factors 1 and the core keeps the rest
-        factors = (1,) * taken + sympy_invariant_factors(core)
-        assert factors == sympy_invariant_factors(dense)
+    # two lone non-units: deleting the row of either from the other would
+    # leave the factor 2, but their gcd is 1
+    @example(dense=[[2, 3]])
+    def test_diagonal_and_pivot_columns(self, dense):
+        m = SparseIntMatrix.from_dense(dense)
+        before = copy.deepcopy(m)
+        diagonal = [abs(u) for _, _, u in _pivots(m)]
+        # unimodular steps leave a diagonal with the invariant factors of m
+        square = [[d * (i == j) for j in range(len(diagonal))] for i, d in enumerate(diagonal)]
+        assert sympy_invariant_factors(square) == sympy_invariant_factors(dense)
+        for p in (2, 3, 2**31 - 1):
+            earlier = set()
+            for r, col, _ in _pivots(m, p):
+                assert not earlier & col.keys()
+                earlier.add(r)
+        assert m == before
 
     @pytest.mark.parametrize("n, seed", [(25, 1025), (40, 40000)])
     def test_h_delta_prefix_takes_no_fill(self, n, seed, monkeypatch):

@@ -52,21 +52,25 @@ def test_no_unused_imports(perfbench):
 
 
 def test_no_dead_private_definitions():
-    # a module-level _function or _Class in src/homoforge is referenced there
+    # a module-level _function, _Class or _CONSTANT (no dunder) in
+    # src/homoforge is read there
     trees = [ast.parse(path.read_text()) for path in sorted(SOURCES.glob("*.py"))]
-    defined = [
-        node.name
-        for tree in trees
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
-    ]
+    defined = []
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.extend(t.id for t in targets if isinstance(t, ast.Name))
     used = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    assert [name for name in defined if name not in used] == []
+    private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
+    assert [name for name in private if name not in used] == []
 
 
 def test_micro_benchmarks_run(perfbench, monkeypatch):
