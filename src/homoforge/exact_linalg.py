@@ -8,7 +8,10 @@ the reference for shadows. Both algebras run one sparse pivot loop,
 _pivots, on a column store with a row index: over Z a unit is +-1, over
 F_p any nonzero entry. It takes columns with a single unit entry first,
 which needs no fill-in (homology's _cycle_residual peels the lone units
-of a face array in rounds before any store is built), then one sweep of
+of a face array in rounds before any store is built, in cycle
+coordinates cut at the vertex in the most faces: each face through it is
+a lone unit there, and as the cones over any vertex are a Z-basis of the
+cycles, the choice of vertex changes no answer), then one sweep of
 unit pivots, then over Z the least entries of what is left, by division
 with remainder on Python integers. Over Z the pivots give the Smith
 normal form, over F_p the rank and a quotient map whose kernel is the column

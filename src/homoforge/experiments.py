@@ -171,8 +171,8 @@ def uncovered_rank_trial(n: int, p_scale: float, seed: int) -> dict:
     components of the covered edges' graph on all n vertices. The bound
     betti >= uncovered - (c - 1) is asserted, counting c only when betti <
     uncovered, as 1 plus the reduced H_0 of that graph: homology_Z_faces in
-    dimension 1 peels a search from vertex n-1, and every other component
-    keeps one free row. Torsion-freeness and exact rank equality are recorded.
+    dimension 1 peels a search from the vertex of highest degree, and every
+    other component keeps one free row. Torsion-freeness and exact rank equality are recorded.
     """
     p = p_scale * math.log(n) / n
     faces = _binomial_faces(n, p, seed)

@@ -1,5 +1,11 @@
 """First homology over Z and F_p, and homological shadows.
 
+Both run in cycle coordinates cut at one vertex v: the rows of the
+(d-1)-faces that avoid v. The cones over any vertex are a Z-basis of the
+(d-1)-cycles, so any v gives the same answers; the cut takes the vertex in
+the most d-faces (the lowest such label), because each face through v is a
+lone unit there and the peel starts from those faces.
+
 shadow returns a complexes.TripleSet; the CLI's shadow command writes its
 to_bytes() as <out>.bits and {n, p, size, deficit} as <out>.json.
 """
@@ -12,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex, TripleSet, _require_dim2, facet_ranks
+from .complexes import (
+    Complex,
+    TripleSet,
+    _require_dim2,
+    _unrank_array,
+    face_ranks,
+    facet_ranks,
+)
 from .exact_linalg import (
     SparseIntMatrix,
     boundary_columns_dense,  # unused; perfbench's tracer wraps this binding
@@ -59,22 +72,33 @@ def betti1_mod_p(Y: Complex, p: int) -> int:
     return math.comb(Y.n, 2) - (Y.n - 1) - rank
 
 
-def _cycle_residual(n: int, d: int, faces: np.ndarray) -> tuple[np.ndarray, SparseIntMatrix]:
-    """The lone-unit peel of the cut boundary of faces, an (m, d+1) array.
+def _cycle_residual(n: int, d: int, faces: np.ndarray) -> tuple[int, np.ndarray, SparseIntMatrix]:
+    """The lone-unit peel of the boundary of faces, an (m, d+1) array, cut at
+    the vertex v in the most faces (the lowest such label).
 
-    Returns the peeled rows, ascending, and the residual: the unpeeled
-    columns in colex order, each mapping the live rows (below C(n-1, d),
+    The cut keeps the rows of the (d-1)-faces that avoid v, each numbered by
+    the colex rank of the face of [0, n-1) that u -> u - (u > v) makes of
+    it; the relabeling keeps colex order, and the rows are C(n-1, d). Returns
+    v, the peeled rows in that numbering, ascending, and the residual: the
+    unpeeled columns in colex order, each mapping the live rows (avoiding v,
     unpeeled) of its face's boundary, the i-th of sign (-1)^i. A live row is
-    numbered among the C(n-1, d) - len(peeled) unpeeled rows below C(n-1, d).
+    numbered among the C(n-1, d) - len(peeled) unpeeled rows.
 
     A column is lone when it keeps one live row. Each round recounts the
     live rows of every column and peels every row that a lone column keeps
     from every column on it, until no column is lone: the synchronous rounds
     of parallel peeling (Jiang, Mitzenmacher and Thaler, 2014). A row that
-    no face meets costs nothing.
+    no face meets costs nothing. Every face through v keeps only its facet
+    opposite v, so the first round peels from all of them; at the busiest
+    vertex the residual of sample_fixed_size(30, 461, s) has about 50
+    columns, against about 190 when cut at n-1.
     """
-    rows = facet_ranks(n, faces)
-    live = rows < cycle_space_dim(n, d)
+    v = int(np.bincount(faces.ravel(), minlength=n).argmax())
+    at = faces == v
+    live = at | ~at.any(1, keepdims=True)
+    # the relabeled rows of a face through v repeat a vertex, so only its
+    # live facet, the one opposite v, gets a true rank
+    rows = facet_ranks(n, faces - (faces > v))
     rows, number = np.unique(rows[live], return_inverse=True)
     pos = np.zeros(live.shape, dtype=np.intp)
     pos[live] = number
@@ -86,27 +110,29 @@ def _cycle_residual(n: int, d: int, faces: np.ndarray) -> tuple[np.ndarray, Spar
         live &= ~newly[pos]
     kept = np.flatnonzero(count > 1)
     kept = kept[np.lexsort(faces[kept].T)]
-    # the index of an unpeeled row among the unpeeled rows below C(n-1, d)
+    # the index of an unpeeled row among the unpeeled rows
     index = (rows - np.cumsum(peeled))[pos[kept]]
     signs = [(-1) ** i for i in range(d + 1)]
     cols = zip(index.tolist(), live[kept].tolist())
     m = SparseIntMatrix(cycle_space_dim(n, d) - int(peeled.sum()), len(kept))
     m.columns = dict(enumerate({r: s for r, ok, s in zip(*c, signs) if ok} for c in cols))
-    return rows[peeled], m
+    return v, rows[peeled], m
 
 
 def homology_Z_faces(n: int, d: int, faces: np.ndarray) -> HomologySummary:
     """H_{d-1}(Y; Z) via Smith form, for Y on n vertices with full (d-1)-skeleton
     whose d-faces are faces, the distinct increasing rows of an integer array.
 
-    The Smith form runs in cycle coordinates. The cones boundary(s + {n-1}),
-    over the (d-1)-faces s that avoid vertex n-1, are a Z-basis of the
-    (d-1)-cycles: a cycle z minus the sum of z_s times the cone of s is a
-    cycle on the faces through n-1 alone, and such a chain n-1 * c has
-    boundary c -+ n-1 * boundary(c), which vanishes only for c = 0. So the
-    cut to the rows below C(n-1, d) maps the cycles isomorphically onto
-    Z^C(n-1, d) and the boundaries onto its column lattice; the cokernel is
-    H_{d-1}. Every face through n-1 is a lone +-1 there.
+    The Smith form runs in cycle coordinates cut at a vertex v, for
+    _cycle_residual the vertex in the most faces. The cones
+    boundary(s + {v}), over the (d-1)-faces s that avoid v, are a Z-basis of
+    the (d-1)-cycles for every v: a cycle z minus the sum of +-z_s times the
+    cone of s is a cycle on the faces through v alone, and such a chain
+    v * c has boundary c -+ v * boundary(c), which vanishes only for c = 0.
+    So the cut to the C(n-1, d) rows that avoid v maps the cycles
+    isomorphically onto Z^C(n-1, d) and the boundaries onto its column
+    lattice; the cokernel is H_{d-1}, whichever v is cut. Every face through
+    v is a lone +-1 there.
 
     _cycle_residual peels the lone units, each a unimodular step and an
     invariant factor 1, so betti = C(n-1, d) - peeled - rank(residual), the
@@ -119,7 +145,7 @@ def homology_Z_faces(n: int, d: int, faces: np.ndarray) -> HomologySummary:
     columns and entries in the same order, less zero rows, so the rest of
     its pivots agree.
     """
-    residual = _cycle_residual(n, d, faces)[1]
+    residual = _cycle_residual(n, d, faces)[2]
     snf = smith_normal_form(residual)
     return HomologySummary(residual.rows - snf.rank, snf.torsion_factors())
 
@@ -163,20 +189,27 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     or zero, so ker Q^T holds every cut column, and as peeled +
     rank(residual) is their rank, it is their span. By the closure of
     homology_Z_faces, eliminating the whole cut matrix gives this same Q.
-    R is Q with zero rows for the edges through n-1, so it has
-    betti1_mod_p(Y, p) columns, and the boundary of a < b < c lies in the
-    span iff R[bc] - R[ac] + R[ab] vanishes mod p. Its entries lie in
-    (-p, 2p), so that is 0 or p. Each triple's edge ranks are its row of
-    _triple_facets, the boundary builder's facet_ranks of all triples. Only
-    the C(n,2) edge vectors are mapped, not the C(n,3) triples.
+    The cut vertex v is _cycle_residual's, the vertex in the most faces: any
+    vertex gives the same span, and so the same bits. R has a row for every
+    edge, in colex order: Q's rows go, in order, to the unpeeled edges that
+    avoid v (the relabeling u -> u - (u > v) keeps their order), and every
+    other row is zero. So R has betti1_mod_p(Y, p) columns, and the boundary
+    of a < b < c lies in the span iff R[bc] - R[ac] + R[ab] vanishes mod p.
+    Its entries lie in (-p, 2p), so that is 0 or p, and R takes the
+    narrowest signed dtype that holds them: int8 for p < 64, int64 for
+    p > 2^30. Each triple's edge ranks are its row of _triple_facets, the
+    boundary builder's facet_ranks of all triples. Only the C(n,2) edge
+    vectors are mapped, not the C(n,3) triples.
     """
     _require_dim2(Y)
     n = Y.n
-    peeled, residual = _cycle_residual(n, 2, Y.faces)
+    v, peeled, residual = _cycle_residual(n, 2, Y.faces)
     Q = quotient_map_mod_p(residual, p)
-    free = np.arange(math.comb(n, 2)) < cycle_space_dim(n)
-    free[peeled] = False
-    R = np.zeros((len(free), Q.shape[1]), dtype=np.int64)
+    # the edges that avoid v, in the cut's order: the edges of [0, n-1) with
+    # u -> u + (u >= v), the inverse of the relabeling
+    cut = _unrank_array(np.arange(cycle_space_dim(n)), n, 2)
+    free = np.delete(face_ranks(n, cut + (cut >= v)), peeled)
+    R = np.zeros((math.comb(n, 2), Q.shape[1]), dtype=np.min_scalar_type(-2 * p))
     R[free] = Q
     facets = _triple_facets(n)
     member = np.empty(len(facets), dtype=bool)

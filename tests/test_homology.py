@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rank_over_Q, random_complex, shadow_oracle, stream_faces
@@ -15,6 +15,7 @@ from homoforge.cli import main
 from homoforge.complexes import (
     Complex,
     TripleSet,
+    rank_face,
     sample_binomial,
     sample_fixed_size,
     save_complex,
@@ -147,9 +148,11 @@ class TestHomologyZ:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sparse_input_at_large_n(self, d, monkeypatch):
-        # the builder's row state follows the faces, not the C(1999, d) rows:
-        # one face on 2,000 vertices is one residual column with d+1 entries
-        # on the C(1999, d) rows below C(1999, d), none peeled
+        # the builder's row state follows the faces, not the C(1999, d) rows.
+        # One face on 2,000 vertices is cut at its vertex 0 and peeled whole.
+        # Beside it a disjoint face avoids the cut vertex 0 and keeps all its
+        # d+1 rows: one sparse residual column, on the C(1999, d) - 1 rows
+        # left after the first face's peel
         shapes = []
 
         def snf_shape(M):
@@ -157,9 +160,12 @@ class TestHomologyZ:
             return smith_normal_form(M)
 
         monkeypatch.setattr("homoforge.homology.smith_normal_form", snf_shape)
+        top = math.comb(1999, d)
         Y = Complex(2000, d, [tuple(range(d + 1))])
-        assert homology_Z(Y) == HomologySummary(math.comb(1999, d) - 1, ())
-        assert shapes == [(math.comb(1999, d), 1, d + 1)]
+        assert homology_Z(Y) == HomologySummary(top - 1, ())
+        Y = Complex(2000, d, [tuple(range(d + 1)), tuple(range(1999 - d, 2000))])
+        assert homology_Z(Y) == HomologySummary(top - 2, ())
+        assert shapes == [(top - 1, 0, 0), (top - 1, 1, d + 1)]
 
     @pytest.mark.parametrize("d", [6, 7])
     def test_ranks_past_int64(self, d):
@@ -170,21 +176,42 @@ class TestHomologyZ:
         assert homology_Z(Y) == raw_boundary_homology(Y)
 
 
-def reference_residual(Y, peeled_rows):
-    """The cut boundary columns that keep two or more rows outside
-    peeled_rows, in colex order, each row numbered among the rows below
-    C(n-1, d) outside peeled_rows."""
-    top = math.comb(Y.n - 1, Y.dim)
-    number = {r: i for i, r in enumerate(r for r in range(top) if r not in peeled_rows)}
+def busiest_vertex(n, faces):
+    """The vertex in the most faces, the lowest such label on ties."""
+    degree = [sum(v in f for f in faces) for v in range(n)]
+    return degree.index(max(degree))
+
+
+def cut_rows(n, d, v):
+    """The colex ranks of the (d-1)-faces that avoid v, ascending: the rows
+    of the cycle coordinates cut at v, in the order the cut numbers them."""
+    return sorted(rank_face(s) for s in combinations([u for u in range(n) if u != v], d))
+
+
+def reference_residual(Y, v, peeled_rows):
+    """The boundary columns that keep two or more rows avoiding v outside
+    peeled_rows, in colex order, each row numbered among the rows avoiding v
+    outside peeled_rows."""
+    kept = [r for r in cut_rows(Y.n, Y.dim, v) if r not in peeled_rows]
+    number = {r: i for i, r in enumerate(kept)}
     cols = []
     for column in boundary_matrix(Y).columns.values():
-        col = [(number[r], v) for r, v in column.items() if r in number]
+        col = [(number[r], x) for r, x in column.items() if r in number]
         if len(col) >= 2:
             cols.append(col)
     return cols
 
 
 class TestPeelCycleBoundary:
+    def test_busiest_vertex_keeps_the_residual_small(self):
+        # the residuals of the shadow_p3 benchmark size have 1,998 columns in
+        # all when cut at the busiest vertex, against 7,663 when cut at n-1
+        total = sum(
+            _cycle_residual(30, 2, sample_fixed_size(30, 461, s).faces)[2].cols
+            for s in range(3000, 3040)
+        )
+        assert total <= 2100
+
     @settings(max_examples=80, deadline=None)
     @given(
         d=st.sampled_from([2, 3]),
@@ -193,32 +220,38 @@ class TestPeelCycleBoundary:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_closure_is_order_free(self, d, n, fraction, seed):
+        rng = random.Random(seed)
         all_faces = list(combinations(range(n), d + 1))
-        picked = random.Random(seed).sample(all_faces, round(fraction * len(all_faces)))
+        picked = rng.sample(all_faces, round(fraction * len(all_faces)))
         faces = np.array(picked, dtype=np.int32).reshape(-1, d + 1)
-        peeled, residual = _cycle_residual(n, d, faces)
-        # the same face array in the reverse order peels the same rows and
-        # leaves the same residual, entry order included
-        reverse_peeled, reverse = _cycle_residual(n, d, faces[::-1])
-        assert np.array_equal(peeled, reverse_peeled) and residual == reverse
-        assert [list(c.items()) for c in residual.columns.values()] == [
-            list(c.items()) for c in reverse.columns.values()
-        ]
-        # peeled rows strictly increase below C(n-1, d); no face keeps one
-        # unpeeled row there
+        v, peeled, residual = _cycle_residual(n, d, faces)
+        assert v == busiest_vertex(n, picked)
+        # the same face array in the reverse and in a shuffled order cuts at
+        # the same vertex, peels the same rows and leaves the same residual,
+        # entry order included
+        for order in (faces[::-1], faces[rng.sample(range(len(faces)), len(faces))]):
+            other_v, other_peeled, other = _cycle_residual(n, d, order)
+            assert other_v == v and np.array_equal(peeled, other_peeled) and residual == other
+            assert [list(c.items()) for c in residual.columns.values()] == [
+                list(c.items()) for c in other.columns.values()
+            ]
+        # peeled rows strictly increase below C(n-1, d), numbered among the
+        # (d-1)-faces that avoid v, and are facets of faces
         top = math.comb(n - 1, d)
         assert all(a < b for a, b in zip(peeled, peeled[1:])) and all(peeled < top)
-        peeled_rows = set(peeled.tolist())
-        assert all(
-            len([r for r in column if r < top and r not in peeled_rows]) != 1
-            for column in boundary_matrix(Complex(n, d, picked)).columns.values()
-        )
-        # the residual's rows are the unpeeled rows below C(n-1, d), in order,
+        rows = cut_rows(n, d, v)
+        peeled_rows = {rows[i] for i in peeled.tolist()}
+        columns = list(boundary_matrix(Complex(n, d, picked)).columns.values())
+        assert peeled_rows <= {r for column in columns for r in column}
+        # closure: no face keeps exactly one unpeeled row that avoids v
+        cut = set(rows) - peeled_rows
+        assert all(len(cut.intersection(column)) != 1 for column in columns)
+        # the residual's rows are the unpeeled rows that avoid v, in order,
         # and each column is its cut boundary there, with two or more entries
         assert residual.rows == top - len(peeled_rows)
         assert list(residual.columns) == list(range(residual.cols))
         mapped = [list(c.items()) for c in residual.columns.values()]
-        assert mapped == reference_residual(Complex(n, d, picked), peeled_rows)
+        assert mapped == reference_residual(Complex(n, d, picked), v, peeled_rows)
         assert all(len(c) >= 2 for c in mapped)
 
     @settings(max_examples=80, deadline=None)
@@ -237,6 +270,69 @@ class TestPeelCycleBoundary:
         faces = np.array([f[::-1] for f in picked], dtype=np.int32).reshape(-1, d + 1)
         Y = Complex(n, d, picked)
         assert homology_Z_faces(n, d, faces[:, ::-1]) == raw_boundary_homology(Y)
+
+
+@st.composite
+def relabeled_complexes(draw, dims=(1, 2, 3)):
+    """(n, d, faces, perm): a complex on n <= 8 vertices and a permutation of them."""
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(1, 8))
+    all_faces = list(combinations(range(n), d + 1))
+    faces = draw(st.lists(st.sampled_from(all_faces), unique=True)) if all_faces else []
+    return n, d, faces, draw(st.permutations(range(n)))
+
+
+def relabel(n, d, faces, perm):
+    return Complex(n, d, [sorted(perm[v] for v in f) for f in faces])
+
+
+def relabeling_examples(dims):
+    """The empty complex, n <= 4, all degrees tied, a cone whose busiest
+    vertex 0 becomes n-1, and the reverse: busiest vertex n-1 becomes 0."""
+    cases = [
+        (5, 2, [], [4, 3, 2, 1, 0]),
+        (1, 1, [], [0]),
+        (3, 1, [(0, 1), (1, 2)], [1, 2, 0]),
+        (4, 2, [(0, 1, 2), (1, 2, 3)], [3, 0, 1, 2]),
+        (4, 2, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], [1, 3, 0, 2]),
+        (6, 2, [(0, 1, 2), (3, 4, 5)], [5, 3, 1, 0, 2, 4]),
+        (6, 2, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5)], [5, 4, 3, 2, 1, 0]),
+        (6, 2, [(0, 1, 5), (1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 3, 4)], [5, 4, 3, 2, 1, 0]),
+        (5, 3, [(0, 1, 2, 3), (0, 1, 2, 4)], [4, 3, 2, 1, 0]),
+    ]
+
+    def decorate(test):
+        for case in cases:
+            if case[1] in dims:
+                test = example(case=case)(test)
+        return test
+
+    return decorate
+
+
+class TestRelabeling:
+    # cycle coordinates are cut at the busiest vertex, which moves with the
+    # labels; the answers must not
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=relabeled_complexes())
+    @relabeling_examples(dims=(1, 2, 3))
+    def test_homology_Z_faces_is_invariant(self, case):
+        n, d, faces, perm = case
+        Y = Complex(n, d, faces)
+        expected = raw_boundary_homology(Y)
+        assert homology_Z_faces(n, d, Y.faces) == expected
+        assert homology_Z_faces(n, d, relabel(n, d, faces, perm).faces) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=relabeled_complexes(dims=(2,)))
+    @relabeling_examples(dims=(2,))
+    def test_shadow_bits_are_invariant(self, case):
+        n, d, faces, perm = case
+        Y, Z = Complex(n, d, faces), relabel(n, d, faces, perm)
+        for p in (2, 3, 5, 2**31 - 1):
+            back = {tuple(sorted(perm.index(v) for v in t)) for t in shadow(Z, p).triples()}
+            assert back == set(shadow(Y, p).triples()), p
 
 
 class TestTriviality:
@@ -419,10 +515,11 @@ class TestShadow:
         p=st.sampled_from([2, 3, 5, 2**31 - 1]),
     )
     def test_cycle_rows_keep_rank(self, n, faces_wanted, seed, p):
-        # restricting to the edges that avoid n-1 is injective on cycles,
-        # and each peeled row is one pivot
+        # restricting to the edges that avoid the cut vertex is injective on
+        # cycles, and each peeled row is one pivot
         Y = random_complex(n, faces_wanted, random.Random(seed))
-        peeled, residual = _cycle_residual(n, 2, Y.faces)
+        v, peeled, residual = _cycle_residual(n, 2, Y.faces)
+        assert v == busiest_vertex(n, Y.faces.tolist())
         assert len(peeled) + rank_mod_p(residual, p) == rank_mod_p(boundary_matrix(Y), p)
         assert quotient_map_mod_p(residual, p).shape[1] == betti1_mod_p(Y, p)
 
