@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import random
-from itertools import accumulate, repeat, starmap
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -61,7 +61,7 @@ def _unrank_array(r, n: int, k: int) -> np.ndarray:
     faces = np.empty((len(r), k), dtype=np.int32)
     for i in range(k, 0, -1):
         faces[:, i - 1] = v = np.searchsorted(table[i], r, side="right") - 1
-        r = r - table[i, v]
+        r = r - table[i].take(v)
     return faces
 
 
@@ -228,7 +228,7 @@ class Complex:
         if (faces[:, 1:] <= faces[:, :-1]).any():
             raise ValueError("faces must be strictly increasing")
         if len(faces) > 1:  # sort and merge by colex rank; one face needs no table
-            faces = faces[np.unique(face_ranks(n, faces), return_index=True)[1]]
+            faces = faces.take(np.unique(face_ranks(n, faces), return_index=True)[1], 0)
         self.n = n
         self.dim = dim
         self.faces = faces.astype(np.int32)
@@ -338,7 +338,7 @@ def sample_fixed_size(n: int, M: int, seed: int, dim: int = 2) -> Complex:
     return Complex(n, dim, stream.take_array(M))
 
 
-_DRAW_CHUNK = 1 << 16  # draws per chunk of _binomial_faces, to bound its float array
+_DRAW_CHUNK = 1 << 16  # draws per chunk of _binomial_faces, to bound its word and float arrays
 
 
 def _binomial_faces(n: int, p: float, seed: int, dim: int = 2) -> np.ndarray:
@@ -347,6 +347,9 @@ def _binomial_faces(n: int, p: float, seed: int, dim: int = 2) -> np.ndarray:
     One rng.random() is drawn per face, in the lexicographic order of
     combinations, and none when p is 0 or 1. The face of lexicographic
     index i mirrors, under v -> n-1-v, the face of colex rank total-1-i.
+    A chunk of k draws is one getrandbits(64k), whose 32-bit words, low first,
+    are those k random() calls read: each call's words a, b give
+    ((a >> 5) * 2^26 + (b >> 6)) / 2^53, exactly as CPython computes it.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p={p} outside [0, 1]")
@@ -360,9 +363,10 @@ def _binomial_faces(n: int, p: float, seed: int, dim: int = 2) -> np.ndarray:
         return np.empty((0, dim + 1), dtype=np.int32)
     total = math.comb(n, dim + 1)
     if p < 1.0:
-        draw = random.Random(seed).random
+        bits = random.Random(seed).getrandbits
         sizes = (min(_DRAW_CHUNK, total - s) for s in range(0, total, _DRAW_CHUNK))
-        below = [np.fromiter(starmap(draw, repeat((), k)), float, k) < p for k in sizes]
+        words = (np.frombuffer(bits(64 * k).to_bytes(8 * k, "little"), "<u4") for k in sizes)
+        below = [((w[0::2] >> 5) * 2.0**26 + (w[1::2] >> 6)) / 2.0**53 < p for w in words]
         picked = np.flatnonzero(np.concatenate(below))
     else:
         picked = np.arange(total)

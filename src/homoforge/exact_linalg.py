@@ -426,7 +426,7 @@ def quotient_map_mod_p(M: SparseIntMatrix, p: int) -> np.ndarray:
                 sources.extend(col)
                 coeffs.extend(v * neg_inv % p for v in col.values())
         if targets:
-            terms = Q[sources] * np.array(coeffs, dtype=np.int64)[:, None]
+            terms = Q.take(sources, 0) * np.array(coeffs, dtype=np.int64)[:, None]
             terms %= p
             Q[targets] = np.add.reduceat(terms, starts, axis=0) % p
     return Q

@@ -91,29 +91,31 @@ def _cycle_residual(n: int, d: int, faces: np.ndarray) -> tuple[int, np.ndarray,
     no face meets costs nothing. Every face through v keeps only its facet
     opposite v, so the first round peels from all of them; at the busiest
     vertex the residual of sample_fixed_size(30, 461, s) has about 50
-    columns, against about 190 when cut at n-1.
+    columns, against about 190 when cut at n-1. The state is vertex-major,
+    (d+1, m) arrays, so each round counts, peels and masks along the long
+    face axis, not across each face's d+1 entries (numpy's slow 2-D paths).
+    The count's dtype must hold d+1: a uint8 count wraps 257 live rows to 1.
     """
-    v = int(np.bincount(faces.ravel(), minlength=n).argmax())
-    at = faces == v
-    live = at | ~at.any(1, keepdims=True)
+    F = np.ascontiguousarray(faces.T)
+    v = int(np.bincount(F.ravel(), minlength=n).argmax())
+    at = F == v
+    live = at | ~at.any(0)
     # the relabeled rows of a face through v repeat a vertex, so only its
     # live facet, the one opposite v, gets a true rank
-    rows = facet_ranks(n, faces - (faces > v))
+    rows = np.ascontiguousarray(facet_ranks(n, faces - (faces > v)).T)
     rows, number = np.unique(rows[live], return_inverse=True)
     pos = np.zeros(live.shape, dtype=np.intp)
     pos[live] = number
     peeled = np.zeros(len(rows), dtype=bool)
-    while (lone := (count := live.sum(1)) == 1).any():
-        newly = np.zeros(len(rows), dtype=bool)
-        newly[pos[lone][live[lone]]] = True
-        peeled |= newly
-        live &= ~newly[pos]
+    while (lone := (count := live.sum(0, dtype=np.min_scalar_type(d + 1))) == 1).any():
+        peeled[pos[live & lone]] = True
+        live &= ~peeled[pos]
     kept = np.flatnonzero(count > 1)
-    kept = kept[np.lexsort(faces[kept].T)]
+    kept = kept[np.lexsort(F[:, kept])]
     # the index of an unpeeled row among the unpeeled rows
-    index = (rows - np.cumsum(peeled))[pos[kept]]
+    index = (rows - np.cumsum(peeled))[pos[:, kept].T]
     signs = [(-1) ** i for i in range(d + 1)]
-    cols = zip(index.tolist(), live[kept].tolist())
+    cols = zip(index.tolist(), live[:, kept].T.tolist())
     m = SparseIntMatrix(cycle_space_dim(n, d) - int(peeled.sum()), len(kept))
     m.columns = dict(enumerate({r: s for r, ok, s in zip(*c, signs) if ok} for c in cols))
     return v, rows[peeled], m
@@ -199,7 +201,9 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     narrowest signed dtype that holds them: int8 for p < 64, int64 for
     p > 2^30. Each triple's edge ranks are its row of _triple_facets, the
     boundary builder's facet_ranks of all triples. Only the C(n,2) edge
-    vectors are mapped, not the C(n,3) triples.
+    vectors are mapped, not the C(n,3) triples. A chunk gathers R's rows
+    with take(.., 0) and reduces along its long triple axis, not across R's
+    columns (about 18 at shadow_p3's size), to avoid numpy's slow 2-D paths.
     """
     _require_dim2(Y)
     n = Y.n
@@ -215,8 +219,9 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     member = np.empty(len(facets), dtype=bool)
     for start in range(0, len(facets), _SHADOW_CHUNK):
         bc, ac, ab = facets[start:start + _SHADOW_CHUNK].T
-        image = R[bc] - R[ac] + R[ab]
-        member[start:start + _SHADOW_CHUNK] = ((image == 0) | (image == p)).all(1)
+        image = R.take(bc, 0) - R.take(ac, 0) + R.take(ab, 0)
+        ok = (image == 0) | (image == p)
+        member[start:start + _SHADOW_CHUNK] = np.ascontiguousarray(ok.T).all(0)
     return TripleSet.from_mask(n, member)
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import stream_faces
+from homoforge import complexes
 from homoforge.complexes import (
     MAX_VERTICES,
     Complex,
@@ -530,14 +531,17 @@ class TestBinomial:
         "n, p, seed, dim",
         [(20, 0.5, 3, 2), (30, 0.2267, 7000, 2), (6, 1.0, 1, 2), (9, 0.3, 5, 3), (8, 0.5, 2, 1)],
     )
-    def test_matches_add_face_reference(self, n, p, seed, dim):
-        # one draw per face in combinations order
+    def test_matches_add_face_reference(self, n, p, seed, dim, monkeypatch):
+        # one draw per face in combinations order; chunks of 1 and 7 draws
+        # check that the random words run on across chunks
         rng = random.Random(seed)
         faces = [
             f for f in combinations(range(n), dim + 1) if p == 1.0 or rng.random() < p
         ]
-        Y = sample_binomial(n, p, seed, dim)
-        assert Y == Complex(n, dim, faces)
+        for chunk in (1, 7, complexes._DRAW_CHUNK):
+            monkeypatch.setattr(complexes, "_DRAW_CHUNK", chunk)
+            Y = sample_binomial(n, p, seed, dim)
+            assert Y == Complex(n, dim, faces), chunk
 
     @pytest.mark.parametrize(
         "n, M, seed, dim",

@@ -14,7 +14,9 @@ from homoforge import homology
 from homoforge.cli import main
 from homoforge.complexes import (
     Complex,
+    ProcessStream,
     TripleSet,
+    _binomial_faces,
     rank_face,
     sample_binomial,
     sample_fixed_size,
@@ -27,6 +29,7 @@ from homoforge.exact_linalg import (
     rank_mod_p,
     smith_normal_form,
 )
+from homoforge.experiments import _first_cover
 from homoforge.homology import (
     HomologySummary,
     _cycle_residual,
@@ -167,6 +170,13 @@ class TestHomologyZ:
         assert homology_Z(Y) == HomologySummary(top - 2, ())
         assert shapes == [(top - 1, 0, 0), (top - 1, 1, d + 1)]
 
+    def test_count_holds_d_plus_one(self):
+        # a face that avoids the cut vertex 0 keeps all 257 of its rows; a
+        # per-face count that wrapped at 256 would call it lone and peel one
+        faces = np.array([range(0, 257), range(257, 514)], dtype=np.int32)
+        Y = Complex(514, 256, faces)
+        assert homology_Z_faces(514, 256, faces) == raw_boundary_homology(Y)
+
     @pytest.mark.parametrize("d", [6, 7])
     def test_ranks_past_int64(self, d):
         # the rows come from C(v, i) for i <= d: below 2^63 at d = 6, past it
@@ -202,14 +212,42 @@ def reference_residual(Y, v, peeled_rows):
     return cols
 
 
+def workload_inputs(kind):
+    """The (n, d, faces) inputs of _cycle_residual in three benchmark trials:
+    shadow_p3 samples, hitting prefixes at h_delta, uncovered_rank samples."""
+    if kind == "shadow":
+        return [(30, 2, sample_fixed_size(30, 461, s).faces) for s in range(3000, 3040)]
+    if kind == "hitting":
+        prefixes = (_first_cover(ProcessStream(25, s)) for s in range(1025, 1045))
+        return [(25, 2, faces[:h_delta]) for faces, h_delta in prefixes]
+    p = 2.0 * math.log(30) / 30
+    return [(30, 2, _binomial_faces(30, p, s)) for s in range(7000, 7020)]
+
+
 class TestPeelCycleBoundary:
+    # sha256 over the inputs of (v, peeled rows, the residual's (row, sign)
+    # items in column order); the hitting and uncovered inputs peel whole,
+    # so there they pin v and the peeled rows
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("shadow", "26df3aa574a5b74fa655d2461ad2686e2a954a9e7ca5cfab610238e597b819fa"),
+            ("hitting", "fcb73b22418abccbe82b195d6f98803a6d37703edb4313e5bf0ad1811b92a73d"),
+            ("uncovered", "9a5659ad62c2e99de68b21b8ead3ceaa8be357d8c5d6d60380e88e1b3a4539a7"),
+        ],
+    )
+    def test_pinned_residual_at_workload_size(self, kind, digest):
+        h = hashlib.sha256()
+        for n, d, faces in workload_inputs(kind):
+            v, peeled, residual = _cycle_residual(n, d, faces)
+            items = [list(c.items()) for c in residual.columns.values()]
+            h.update(repr((v, peeled.tolist(), items)).encode())
+        assert h.hexdigest() == digest
+
     def test_busiest_vertex_keeps_the_residual_small(self):
         # the residuals of the shadow_p3 benchmark size have 1,998 columns in
         # all when cut at the busiest vertex, against 7,663 when cut at n-1
-        total = sum(
-            _cycle_residual(30, 2, sample_fixed_size(30, 461, s).faces)[2].cols
-            for s in range(3000, 3040)
-        )
+        total = sum(_cycle_residual(*case)[2].cols for case in workload_inputs("shadow"))
         assert total <= 2100
 
     @settings(max_examples=80, deadline=None)
