@@ -228,7 +228,11 @@ class Complex:
         if (faces[:, 1:] <= faces[:, :-1]).any():
             raise ValueError("faces must be strictly increasing")
         if len(faces) > 1:  # sort and merge by colex rank; one face needs no table
-            faces = faces.take(np.unique(face_ranks(n, faces), return_index=True)[1], 0)
+            ranks = face_ranks(n, faces)
+            order = ranks.argsort()  # not stable: rows of equal rank are equal
+            ranks = ranks.take(order)
+            order = order[np.concatenate(([True], ranks[1:] != ranks[:-1]))]
+            faces = faces.take(order, 0)
         self.n = n
         self.dim = dim
         self.faces = faces.astype(np.int32)

@@ -99,17 +99,21 @@ def _first_cover(stream: ProcessStream) -> tuple[np.ndarray, int]:
     """The faces drawn from a fresh triangle stream, and h_delta among them.
 
     It draws (E/3) ln E faces, the coupon-collector mean of h_delta for
-    E = C(n,2), then E/3 at a time; np.unique finds each edge's first cover.
+    E = C(n,2), then E/3 at a time. first[e] is the 0-based index of the
+    first face that covers edge e, int64 max while none does; each batch
+    lowers it by one scatter-min over its faces' edge ranks. Once every
+    edge is covered, the last edge to be covered is covered by face
+    first.max(), so h_delta, a 1-based step, is first.max() + 1.
     """
     edges = math.comb(stream.n, 2)
-    covered = np.zeros(edges, dtype=bool)
+    first = np.full(edges, np.iinfo(np.int64).max)
     faces = new = stream.take_array(math.ceil(edges / 3 * math.log(edges)))
     while True:
-        seen, first = np.unique(facet_ranks(stream.n, new), return_index=True)
-        fresh = ~covered[seen]
-        covered[seen] = True
-        if covered.all():
-            return faces, len(faces) - len(new) + int(first[fresh].max()) // 3 + 1
+        steps = np.arange(len(faces) - len(new), len(faces)).repeat(3)
+        np.minimum.at(first, facet_ranks(stream.n, new).ravel(), steps)
+        last = int(first.max())
+        if last < len(faces):
+            return faces, last + 1
         new = stream.take_array(math.ceil(edges / 3))
         faces = np.concatenate((faces, new))
 

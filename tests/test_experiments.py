@@ -3,6 +3,7 @@ import math
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import shadow_oracle
@@ -11,6 +12,7 @@ from homoforge.complexes import Complex, ProcessStream, sample_fixed_size, uncov
 from homoforge.exact_linalg import EchelonBasis
 from homoforge.experiments import (
     CampaignConfig,
+    _first_cover,
     binomial_ci95,
     hitting_time_trial,
     run_campaign,
@@ -111,6 +113,17 @@ class TestHittingTimeTrial:
             hitting_time_trial(2001, 0)
 
     @pytest.mark.parametrize(
+        "n, pinned",
+        [(100, 15778), (200, 64547), (400, 306760)],
+    )
+    def test_pinned_at_scale(self, n, pinned):
+        # the paper's question at scale, pinned at seed 40000: every
+        # hitting time equals h_delta and H_1(Y; Z) has no torsion there
+        t = hitting_time_trial(n, 40000)
+        assert (t.h_delta, t.h_f2, t.h_z) == (pinned, pinned, pinned)
+        assert t.torsion_at_h_delta == ()
+
+    @pytest.mark.parametrize(
         "n, seeds",
         [(4, range(10)), (5, range(100)), (6, range(110)), (12, range(300)),
          (25, range(1025, 1045)), (40, range(10))],
@@ -120,6 +133,7 @@ class TestHittingTimeTrial:
         # time. At n=4 the first chunk is the whole process, at n=5 the second
         # one is cut short by the end of the process, and at n = 5, 6 and 12
         # some of these seeds have h_delta exactly at the end of a chunk.
+        # _first_cover's faces are the stream's first faces, as one array.
         edges = math.comb(n, 2)
         first, later = math.ceil(edges / 3 * math.log(edges)), math.ceil(edges / 3)
         ends = {min(first + k * later, math.comb(n, 3)) for k in range(edges)}
@@ -131,6 +145,9 @@ class TestHittingTimeTrial:
                 if len(covered) == edges:
                     break
             assert hitting_time_trial(n, seed).h_delta == step, seed
+            faces, h_delta = _first_cover(ProcessStream(n, seed))
+            assert h_delta == step <= len(faces), seed
+            assert np.array_equal(faces, ProcessStream(n, seed).take_array(len(faces)))
             found.append(step)
         if n in (5, 6, 12):
             assert ends.intersection(found)
