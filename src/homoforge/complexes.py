@@ -78,9 +78,13 @@ def facet_ranks(n: int, faces: np.ndarray) -> np.ndarray:
     (-1)^i in the face's boundary. Vertex j < i keeps its place, C(v_j, j+1),
     and vertex j > i moves down one, C(v_j, j). The dtype is that of
     colex_array(n, k-1): int64, or object (Python ints) once an entry passes
-    2^63. Each term is a 1-D gather from one row of the table.
+    2^63. Each term is a 1-D gather from one row of the table. No faces give
+    an empty int64 array and build no table: it holds k(n+1) binomials,
+    Python ints for large k, and only faces read it.
     """
     k = faces.shape[1]
+    if not len(faces):
+        return np.empty((0, k), dtype=np.int64)
     table = colex_array(n, k - 1)
     kept = [table[j].take(faces[:, j - 1]) for j in range(1, k)]
     moved = [table[j].take(faces[:, j]) for j in range(1, k)]
@@ -184,7 +188,8 @@ class TripleSet:
 
 # Every later step works on vectors and matrices with C(n, 2) rows or on
 # C(n, 3) face ranks, so Complex, ProcessStream and the binomial sampler bound
-# n before they draw or allocate anything.
+# n before they draw or allocate anything. dim gets the same bound, so an
+# empty complex of huge dimension is no huge computation.
 MAX_VERTICES = 2_000
 
 
@@ -195,6 +200,15 @@ def _check_size(n: int, dim: int) -> None:
         raise ValueError(f"need n <= {MAX_VERTICES}, got {n}")
     if dim < 1:
         raise ValueError(f"need dim >= 1, got {dim}")
+    if dim > MAX_VERTICES:
+        raise ValueError(f"need dim <= {MAX_VERTICES}, got {dim}")
+
+
+def _check_model_size(n: int, dim: int) -> None:
+    """_check_size for the random models, which also need a face to draw."""
+    _check_size(n, dim)
+    if n < dim + 1:
+        raise ValueError(f"need n >= {dim + 1} for dimension {dim}, got n={n}")
 
 
 class Complex:
@@ -289,12 +303,7 @@ class ProcessStream:
     __slots__ = ("n", "dim", "seed", "total", "_rng", "_swap", "_pos")
 
     def __init__(self, n: int, seed: int, dim: int = 2):
-        if dim < 1:
-            raise ValueError(f"need dim >= 1, got {dim}")
-        if n < dim + 1:
-            raise ValueError(f"need n >= {dim + 1} for dimension {dim}, got n={n}")
-        if n > MAX_VERTICES:
-            raise ValueError(f"need n <= {MAX_VERTICES}, got {n}")
+        _check_model_size(n, dim)
         self.n = n
         self.dim = dim
         self.seed = seed
@@ -357,12 +366,7 @@ def _binomial_faces(n: int, p: float, seed: int, dim: int = 2) -> np.ndarray:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p={p} outside [0, 1]")
-    if dim < 1:
-        raise ValueError(f"need dim >= 1, got {dim}")
-    if n < dim + 1:
-        raise ValueError(f"need n >= {dim + 1}, got n={n}")
-    if n > MAX_VERTICES:
-        raise ValueError(f"need n <= {MAX_VERTICES}, got {n}")
+    _check_model_size(n, dim)
     if not p:
         return np.empty((0, dim + 1), dtype=np.int32)
     total = math.comb(n, dim + 1)

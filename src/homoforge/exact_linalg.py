@@ -6,15 +6,16 @@ complexes.facet_ranks call over the face array; no campaign builds a
 whole boundary, so boundary_matrix and rank_mod_p serve betti1_mod_p,
 the reference for shadows. Both algebras run one sparse pivot loop,
 _pivots, on a column store with a row index: over Z a unit is +-1, over
-F_p any nonzero entry. It takes columns with a single unit entry first,
-which needs no fill-in (homology's _cycle_residual peels the lone units
-of a face array in rounds before any store is built, in cycle
-coordinates cut at the vertex in the most faces: each face through it is
-a lone unit there, and as the cones over any vertex are a Z-basis of the
-cycles, the choice of vertex changes no answer), then one sweep of
-unit pivots, then over Z the least entries of what is left, by division
-with remainder on Python integers. Over Z the pivots give the Smith
-normal form, over F_p the rank and a quotient map whose kernel is the column
+F_p any nonzero entry. It has three pivot choices and one pivot step.
+It chooses columns with a single unit entry first, whose step takes no
+fill-in (homology's _cycle_residual peels the lone units of a face array
+in rounds before any store is built, in cycle coordinates cut at the
+vertex in the most faces: each face through it is a lone unit there, and
+as the cones over any vertex are a Z-basis of the cycles, the choice of
+vertex changes no answer), then the units of one sweep, then over Z the
+least entries of what is left. The step reduces by division with
+remainder on Python integers. Over Z the pivots give the Smith normal
+form, over F_p the rank and a quotient map whose kernel is the column
 space. Dense products mod p are kept below 2^63.
 """
 
@@ -281,11 +282,12 @@ def _pivots(M: SparseIntMatrix, p: int = 0) -> Iterator[tuple[int, dict[int, int
     reduced by the nearest quotient too, a remainder again becoming the
     pivot. Each remainder is at most |u| / 2, so every step ends.
 
-    The pivot is chosen in one loop, in this order:
-    1. a lone unit column, one with a single entry; it clears its row by
-       deleting the row's entries from the other columns, with no fill-in.
-       A stack holds the initial lone columns and every column that a pivot
-       shrinks to one entry; over Z a lone non-unit is skipped;
+    The step's pivot is chosen in one loop, in this order:
+    1. a lone column, one with a single entry, if that entry is a unit; over
+       Z a lone non-unit is skipped. A stack holds the initial lone columns
+       and every column that a step shrinks to one entry. The step then
+       subtracts v * u^-1 times the lone column from each column with v in
+       row r, which deletes that entry and adds no fill-in;
     2. the next column of one sweep in insertion order that has a unit,
        pivoted on the unit whose row has the fewest columns;
     3. once the sweep is done, the first remaining column, pivoted on its
@@ -311,24 +313,10 @@ def _pivots(M: SparseIntMatrix, p: int = 0) -> Iterator[tuple[int, dict[int, int
     while cols:
         if lone:
             c = lone.pop()
-            col = cols.get(c)
-            if col is None or len(col) != 1:
+            if len(cols.get(c, ())) != 1:
                 continue
-            [(r, u)] = col.items()
-            if not p and u != 1 and u != -1:
-                continue
-            del cols[c]
-            for c2 in rows.pop(r):
-                if c2 != c:
-                    col2 = cols[c2]
-                    del col2[r]
-                    if len(col2) == 1:
-                        lone.append(c2)
-                    elif not col2:
-                        del cols[c2]
-            yield r, col, u
-            continue
-        c = next(sweep, None)
+        else:
+            c = next(sweep, None)
         if c is None:
             c, col = next(iter(cols.items()))
             r = min(col, key=lambda r: abs(col[r]))

@@ -125,6 +125,14 @@ class TestHomologyCmd:
         assert main(["homology", "--in", str(path)]) == 2
         assert capsys.readouterr().err == "error: need n <= 2000, got 100000\n"
 
+    def test_dimension_beyond_limit_is_usage_error(self, tmp_path, capsys):
+        # an empty complex of any dimension would be accepted otherwise, and
+        # its rank tables grow with the dimension
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"n": 5, "dim": 2001, "faces": []}))
+        assert main(["homology", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == "error: need dim <= 2000, got 2001\n"
+
 
 class TestSnfCmd:
     def test_identity(self, tmp_path, capsys):

@@ -1,6 +1,9 @@
 import copy
+import dis
+import hashlib
 import math
 import random
+import sys
 from itertools import combinations, permutations
 
 import numpy as np
@@ -16,6 +19,7 @@ from homoforge.complexes import (
     Complex,
     ProcessStream,
     sample_binomial,
+    sample_fixed_size,
 )
 from homoforge.exact_linalg import (
     _INITIAL_CAPACITY,
@@ -35,7 +39,7 @@ from homoforge.exact_linalg import (
     smith_normal_form,
     write_matrix_file,
 )
-from homoforge.homology import homology_Z
+from homoforge.homology import _cycle_residual, homology_Z
 
 
 BIG = 10**25
@@ -595,18 +599,40 @@ class TestSmithNormalForm:
             assert res.invariant_factors == base
 
 
+# matrices that reach every pivot choice and skip of _pivots, over Z and F_3
+PIVOT_EXAMPLES = [
+    # the first pivot (column 1) leaves the only unit in the swept column 0
+    [[2, 1], [3, 1]],
+    # column 0 is a lone non-unit, skipped and left in the core
+    [[2, 1], [0, 1]],
+    # two identical lone columns: the first pivot empties the second
+    [[1, 1]],
+    # the same, beside a column that keeps two entries, so the emptied lone
+    # column is popped before the store runs out
+    [[1, 1, 1], [0, 0, 1], [0, 0, 1]],
+    # two lone non-units, so the core picks 2: deleting the row of either
+    # from the other would leave the factor 2, but their gcd is 1, and the
+    # remainder 3 - 2 * 2 = -1 in the other column becomes the pivot
+    [[2, 3]],
+    # the sweep skips column 1, which the pivot of column 0 empties, and
+    # column 2, which has no unit
+    [[1, 1, 2], [1, 1, 0]],
+    # no unit, so the core pivots on 2; its own column keeps 3 - 2 * 2 = -1,
+    # the next pivot, and drops 4 - 2 * 2 = 0
+    [[3], [2], [4]],
+]
+
+
+def pivot_examples(test):
+    for dense in PIVOT_EXAMPLES:
+        test = example(dense=dense)(test)
+    return test
+
+
 class TestPivots:
     @settings(max_examples=300, deadline=None)
     @given(dense=unit_pivot_matrices())
-    # the first pivot (column 1) leaves the only unit in the swept column 0
-    @example(dense=[[2, 1], [3, 1]])
-    # column 0 is a lone non-unit, skipped and left in the core
-    @example(dense=[[2, 1], [0, 1]])
-    # two identical lone columns: the first pivot empties the second
-    @example(dense=[[1, 1]])
-    # two lone non-units: deleting the row of either from the other would
-    # leave the factor 2, but their gcd is 1
-    @example(dense=[[2, 3]])
+    @pivot_examples
     def test_diagonal_and_pivot_columns(self, dense):
         m = SparseIntMatrix.from_dense(dense)
         before = copy.deepcopy(m)
@@ -620,6 +646,50 @@ class TestPivots:
                 assert not earlier & col.keys()
                 earlier.add(r)
         assert m == before
+
+    def test_examples_run_every_line(self):
+        # a line of _pivots that no example reaches is dead or untested
+        code = _pivots.__code__
+        body = {line for _, line in dis.findlinestarts(code)} - {code.co_firstlineno, None}
+        ran = set()
+
+        def trace_lines(frame, event, arg):
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return trace_lines
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is code else None)
+        try:
+            for dense in PIVOT_EXAMPLES:
+                for p in (0, 3):
+                    list(_pivots(SparseIntMatrix.from_dense(dense), p))
+        finally:
+            sys.settrace(previous)
+        assert sorted(body - ran) == []
+
+    def test_pinned_pivot_stream(self):
+        # sha256 over repr((r, sorted col items, u)) of every pivot, in order,
+        # over Z and three primes: a raw process prefix, a raw binomial
+        # boundary, the shadow_p3 residuals and a 1580 x 1523 torsion-window
+        # residual. Any change to the pivot choice or step shows here.
+        inputs = [
+            boundary_matrix(Complex(40, 2, ProcessStream(40, 40).take_array(2000))),
+            boundary_matrix(sample_binomial(30, 2 * math.log(30) / 30, 7000)),
+        ]
+        inputs += [
+            _cycle_residual(30, 2, sample_fixed_size(30, 461, s).faces)[2]
+            for s in range(3000, 3040)
+        ]
+        M = math.ceil(2.9 * math.comb(60, 3) / 60)
+        inputs.append(_cycle_residual(60, 2, sample_fixed_size(60, M, 1).faces)[2])
+        assert (inputs[-1].rows, inputs[-1].cols) == (1580, 1523)
+        h = hashlib.sha256()
+        for p in (0, 2, 3, 2**31 - 1):
+            for m in inputs:
+                for r, col, u in _pivots(m, p):
+                    h.update(repr((r, sorted(col.items()), u)).encode())
+        assert h.hexdigest() == "3fcb447982657ad745bed4fd4d145d1b5c2e0887d544ef9039dca902e7b30e25"
 
     @pytest.mark.parametrize("n, seed", [(25, 1025), (40, 40000)])
     def test_h_delta_prefix_takes_no_fill(self, n, seed, monkeypatch):

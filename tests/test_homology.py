@@ -121,6 +121,15 @@ class TestHomologyZ:
         Y = Complex(6, dim=3)
         assert homology_Z(Y) == HomologySummary(math.comb(5, 3), ())
 
+    def test_empty_complex_of_high_dimension_builds_no_table(self, monkeypatch):
+        # no face needs a rank table, and colex_array(2000, 1000) would hold
+        # two million Python-int binomials
+        def refuse(*args):
+            raise AssertionError(f"colex_array{args} built")
+
+        monkeypatch.setattr("homoforge.complexes.colex_array", refuse)
+        assert homology_Z(Complex(2000, 1000)) == HomologySummary(math.comb(1999, 1000), ())
+
     def test_ln_torsion_order(self, rp2):
         assert homology_Z(rp2).ln_torsion_order() == pytest.approx(math.log(2))
 
