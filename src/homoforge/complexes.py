@@ -44,7 +44,10 @@ def colex_array(n: int, k: int) -> np.ndarray:
     by bisection. int64, or Python ints once an entry passes 2^63. Built on
     first use for each (n, k), cached and read-only: every caller shares it.
     """
-    rows = [[math.comb(v, i) for v in range(n + 1)] for i in range(k + 1)]
+    # Pascal's rule: C(v, i) = sum of C(u, i-1) over u < v
+    rows = [[1] * (n + 1)]
+    for _ in range(k):
+        rows.append([0, *accumulate(rows[-1][:-1])])
     table = np.array(rows, dtype=np.int64 if max(map(max, rows)) < 2**63 else object)
     table.setflags(write=False)
     return table

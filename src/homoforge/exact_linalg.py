@@ -6,17 +6,17 @@ complexes.facet_ranks call over the face array; no campaign builds a
 whole boundary, so boundary_matrix and rank_mod_p serve betti1_mod_p,
 the reference for shadows. Both algebras run one sparse pivot loop,
 _pivots, on a column store with a row index: over Z a unit is +-1, over
-F_p any nonzero entry. It has three pivot choices and one pivot step.
-It chooses columns with a single unit entry first, whose step takes no
-fill-in (homology's _cycle_residual peels the lone units of a face array
-in rounds before any store is built, in cycle coordinates cut at the
-vertex in the most faces: each face through it is a lone unit there, and
-as the cones over any vertex are a Z-basis of the cycles, the choice of
-vertex changes no answer), then the units of one sweep, then over Z the
-least entries of what is left. The step reduces by division with
-remainder on Python integers. Over Z the pivots give the Smith normal
-form, over F_p the rank and a quotient map whose kernel is the column
-space. Dense products mod p are kept below 2^63.
+F_p any nonzero entry. It has two pivot choices and one pivot step: the
+units of one sweep that takes the shortest columns first, so a lone unit
+pivots before any fill-in, then over Z the least entries of what is left.
+homology's _cycle_residual peels the lone units of a face array in rounds
+before any store is built, in cycle coordinates cut at the vertex in the
+most faces: each face through it is a lone unit there, and as the cones
+over any vertex are a Z-basis of the cycles, the choice of vertex changes
+no answer. The step reduces by division with remainder on Python
+integers. Over Z the pivots give the Smith normal form, over F_p the rank
+and a quotient map whose kernel is the column space. Dense products mod p
+are kept below 2^63.
 """
 
 from __future__ import annotations
@@ -226,11 +226,17 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def check_prime(p: int) -> None:
+def check_prime(p: int) -> int:
+    """p as an int, if it is a prime below 2^31; else ValueError."""
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise ValueError(f"modulus {p} is not an integer") from None
     if p >= 2**31:
         raise ValueError(f"modulus {p} exceeds the supported word-sized range")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +249,11 @@ def _add_column(
     c2: int,
     col: dict[int, int],
     f: int,
-    p: int = 0,
-) -> int:
+    p: int,
+) -> None:
     """Column c2 += f * col in place, mod p when p is given; keeps rows in step.
 
-    Column c2 is dropped if it empties. Returns its number of entries.
+    Column c2 is dropped if it empties.
     """
     col2 = cols[c2]
     for r2, v in col.items():
@@ -263,7 +269,6 @@ def _add_column(
             rows[r2].discard(c2)
     if not col2:
         del cols[c2]
-    return len(col2)
 
 
 def _pivots(M: SparseIntMatrix, p: int = 0) -> Iterator[tuple[int, dict[int, int], int]]:
@@ -283,21 +288,19 @@ def _pivots(M: SparseIntMatrix, p: int = 0) -> Iterator[tuple[int, dict[int, int
     pivot. Each remainder is at most |u| / 2, so every step ends.
 
     The step's pivot is chosen in one loop, in this order:
-    1. a lone column, one with a single entry, if that entry is a unit; over
-       Z a lone non-unit is skipped. A stack holds the initial lone columns
-       and every column that a step shrinks to one entry. The step then
-       subtracts v * u^-1 times the lone column from each column with v in
-       row r, which deletes that entry and adds no fill-in;
-    2. the next column of one sweep in insertion order that has a unit,
-       pivoted on the unit whose row has the fewest columns;
-    3. once the sweep is done, the first remaining column, pivoted on its
+    1. the next column of one sweep that has a unit, pivoted on the unit
+       whose row has the fewest columns. The sweep takes the columns in
+       order of their starting length, in insertion order among equals, so
+       the lone units pivot first: their steps only delete entries, and no
+       longer column has filled the other columns yet;
+    2. once the sweep is done, the first remaining column, pivoted on its
        entry of least |u|. Over F_p the sweep leaves no column.
 
     Each pivot column is yielded as it stood when its row was cleared, so it
     has no entry in an earlier pivot row. The invariant factors are unique,
     so the order changes only the cost. homology peels the lone units of its
-    cycle coordinates itself (homology._cycle_residual), so there the stack
-    takes only columns that fill-in leaves lone.
+    cycle coordinates itself (homology._cycle_residual) before any store is
+    built.
     """
     cols = {}
     for c, col in M.columns.items():
@@ -308,15 +311,9 @@ def _pivots(M: SparseIntMatrix, p: int = 0) -> Iterator[tuple[int, dict[int, int
     for c, col in cols.items():
         for r in col:
             rows.setdefault(r, set()).add(c)
-    lone = [c for c, col in cols.items() if len(col) == 1]
-    sweep = iter(list(cols))
+    sweep = iter(sorted(cols, key=lambda c: len(cols[c])))
     while cols:
-        if lone:
-            c = lone.pop()
-            if len(cols.get(c, ())) != 1:
-                continue
-        else:
-            c = next(sweep, None)
+        c = next(sweep, None)
         if c is None:
             c, col = next(iter(cols.items()))
             r = min(col, key=lambda r: abs(col[r]))
@@ -338,8 +335,8 @@ def _pivots(M: SparseIntMatrix, p: int = 0) -> Iterator[tuple[int, dict[int, int
                     v = cols[c2][r]
                     # (2v + u) // 2u rounds v / u to the nearest integer for either sign of u
                     q = v * inv if unit else (2 * v + u) // (2 * u)
-                    if q and _add_column(cols, rows, c2, col, -q, p) == 1:
-                        lone.append(c2)
+                    if q:
+                        _add_column(cols, rows, c2, col, -q, p)
             if len(rows[r]) > 1:
                 # every remainder is below |u|, so the least entry is one of them
                 c = min(rows[r], key=lambda c2: abs(cols[c2][r]))
@@ -368,7 +365,7 @@ def _pivots(M: SparseIntMatrix, p: int = 0) -> Iterator[tuple[int, dict[int, int
 
 def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
     """Rank of M over F_p: the pivot count of its sparse elimination."""
-    check_prime(p)
+    p = check_prime(p)
     return sum(1 for _ in _pivots(M, p))
 
 
@@ -388,7 +385,7 @@ def quotient_map_mod_p(M: SparseIntMatrix, p: int) -> np.ndarray:
     and is reduced mod p before the per-pivot sums. A pivot column with no
     entry besides its pivot leaves its row zero.
     """
-    check_prime(p)
+    p = check_prime(p)
     pivots = [(r, col) for r, col, _ in _pivots(M, p)]
     pivot_rows = {r for r, _ in pivots}
     free = [r for r in range(M.rows) if r not in pivot_rows]
@@ -441,10 +438,9 @@ class EchelonBasis:
     __slots__ = ("p", "nrows", "_buf", "_pivot_rows", "_rank")
 
     def __init__(self, p: int, nrows: int):
-        check_prime(p)
+        self.p = check_prime(p)
         if nrows < 0:
             raise ValueError("row dimension must be nonnegative")
-        self.p = p
         self.nrows = nrows
         self._buf = np.zeros((min(_INITIAL_CAPACITY, nrows), nrows), dtype=np.int64)
         self._pivot_rows = np.zeros(nrows, dtype=np.intp)

@@ -58,7 +58,7 @@ class HomologySummary:
 
         Universal coefficients, since H_{d-2} of a full skeleton is free.
         """
-        check_prime(p)
+        p = check_prime(p)
         return self.betti + sum(1 for t in self.torsion if t % p == 0)
 
     def ln_torsion_order(self) -> float:
@@ -141,11 +141,7 @@ def homology_Z_faces(n: int, d: int, faces: np.ndarray) -> HomologySummary:
     residual's rows less its rank, and the torsion is the residual's. As
     peeling a row only shrinks columns, the peeled rows are a closure, the
     same in every order (a row peeled in one order has its column's other
-    rows peeled first, so by induction no order stops short of it). So the
-    residual is what exact_linalg._pivots leaves of the whole cut matrix
-    once its lone stack is empty, before its first sweep column: the same
-    columns and entries in the same order, less zero rows, so the rest of
-    its pivots agree.
+    rows peeled first, so by induction no order stops short of it).
     """
     residual = _cycle_residual(n, d, faces)[2]
     snf = smith_normal_form(residual)
@@ -189,13 +185,12 @@ def shadow(Y: Complex, p: int) -> TripleSet:
     with ker Q^T = its column span; a peeled row gets a zero row, as a lone
     pivot gives it. Off the peeled rows a cut column is a residual column
     or zero, so ker Q^T holds every cut column, and as peeled +
-    rank(residual) is their rank, it is their span. By the closure of
-    homology_Z_faces, eliminating the whole cut matrix gives this same Q.
-    The cut vertex v is _cycle_residual's, the vertex in the most faces: any
-    vertex gives the same span, and so the same bits. R has a row for every
-    edge, in colex order: Q's rows go, in order, to the unpeeled edges that
-    avoid v (the relabeling u -> u - (u > v) keeps their order), and every
-    other row is zero. So R has betti1_mod_p(Y, p) columns, and the boundary
+    rank(residual) is their rank, it is their span. The cut vertex v is
+    _cycle_residual's, the vertex in the most faces: any vertex gives the
+    same span, and so the same bits. R has a row for every edge, in colex
+    order: Q's rows go, in order, to the unpeeled edges that avoid v (the
+    relabeling u -> u - (u > v) keeps their order), and every other row is
+    zero. So R has betti1_mod_p(Y, p) columns, and the boundary
     of a < b < c lies in the span iff R[bc] - R[ac] + R[ab] vanishes mod p.
     Its entries lie in (-p, 2p), so that is 0 or p, and R takes the
     narrowest signed dtype that holds them: int8 for p < 64, int64 for

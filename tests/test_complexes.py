@@ -17,6 +17,7 @@ from homoforge.complexes import (
     TripleSet,
     _binomial_faces,
     _unrank_array,
+    colex_array,
     complex_from_json,
     complex_from_text,
     complex_to_json,
@@ -65,6 +66,20 @@ class TestRanking:
                 assert rank_face(t) == r
                 assert unranked([r], n, 3) == [t]
         assert rank_face((0, 1, 3)) == 1  # second in colex order
+
+    def test_colex_array_is_binomials(self):
+        table = colex_array(30, 3)
+        assert table.shape == (4, 31)
+        assert table.tolist() == [[math.comb(v, i) for v in range(31)] for i in range(4)]
+        table, rng = colex_array(2000, 300), random.Random(1)
+        assert table.shape == (301, 2001)
+        for _ in range(300):
+            i, v = rng.randrange(301), rng.randrange(2001)
+            assert table[i, v] == math.comb(v, i)
+        assert table[300, 2000] == math.comb(2000, 300)
+        # C(2000, 7) > 2^63
+        assert colex_array(2000, 6).dtype == np.int64
+        assert colex_array(2000, 7).dtype == object
 
     def test_round_trip_bijection(self):
         n = 9

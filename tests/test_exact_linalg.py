@@ -1,5 +1,6 @@
 import copy
 import dis
+import functools
 import hashlib
 import math
 import random
@@ -31,6 +32,7 @@ from homoforge.exact_linalg import (
     boundary_columns_dense,
     boundary_matrix,
     boundary_vector_dense,
+    check_prime,
     is_prime,
     minor_gcd_oracle,
     quotient_map_mod_p,
@@ -323,6 +325,16 @@ class TestRankModP:
         assert not is_prime(1)
         assert is_prime(2**31 - 1)
 
+    def test_check_prime_needs_an_integer(self):
+        # pow(u, -1, p) refuses a float modulus and a numpy int alike
+        for p in (3.0, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="is not an integer"):
+                check_prime(p)
+        with pytest.raises(ValueError, match="^modulus 3.0 is not an integer$"):
+            check_prime(3.0)
+        p = check_prime(np.int64(3))
+        assert (p, type(p)) == (3, int)
+
 
 class TestEchelonBasis:
     def test_insert_into_empty(self):
@@ -599,27 +611,51 @@ class TestSmithNormalForm:
             assert res.invariant_factors == base
 
 
-# matrices that reach every pivot choice and skip of _pivots, over Z and F_3
+@functools.lru_cache(maxsize=1)
+def pinned_pivot_inputs():
+    """A raw process prefix, a raw binomial boundary, the shadow_p3 residuals
+    of seeds 3000-3039 and a 1580 x 1523 torsion-window residual."""
+    inputs = [
+        boundary_matrix(Complex(40, 2, ProcessStream(40, 40).take_array(2000))),
+        boundary_matrix(sample_binomial(30, 2 * math.log(30) / 30, 7000)),
+    ]
+    inputs += [
+        _cycle_residual(30, 2, sample_fixed_size(30, 461, s).faces)[2]
+        for s in range(3000, 3040)
+    ]
+    M = math.ceil(2.9 * math.comb(60, 3) / 60)
+    inputs.append(_cycle_residual(60, 2, sample_fixed_size(60, M, 1).faces)[2])
+    assert (inputs[-1].rows, inputs[-1].cols) == (1580, 1523)
+    return inputs
+
+
+# matrices that reach every line of _pivots, _add_column, quotient_map_mod_p
+# and smith_normal_form over Z and F_3
 PIVOT_EXAMPLES = [
     # the first pivot (column 1) leaves the only unit in the swept column 0
     [[2, 1], [3, 1]],
     # column 0 is a lone non-unit, skipped and left in the core
     [[2, 1], [0, 1]],
-    # two identical lone columns: the first pivot empties the second
+    # two identical lone columns: the first pivot empties the second, and
+    # the store runs out before the sweep reaches it
     [[1, 1]],
-    # the same, beside a column that keeps two entries, so the emptied lone
-    # column is popped before the store runs out
+    # the same, beside a column that keeps two entries, so the sweep goes on
+    # to the emptied column and skips it
     [[1, 1, 1], [0, 0, 1], [0, 0, 1]],
     # two lone non-units, so the core picks 2: deleting the row of either
     # from the other would leave the factor 2, but their gcd is 1, and the
     # remainder 3 - 2 * 2 = -1 in the other column becomes the pivot
     [[2, 3]],
-    # the sweep skips column 1, which the pivot of column 0 empties, and
-    # column 2, which has no unit
+    # the sweep skips column 2, which has no unit, and column 1, which the
+    # pivot of column 0 empties
     [[1, 1, 2], [1, 1, 0]],
     # no unit, so the core pivots on 2; its own column keeps 3 - 2 * 2 = -1,
     # the next pivot, and drops 4 - 2 * 2 = 0
     [[3], [2], [4]],
+    # a triangle's edge boundary: the first pivot fills row 1 of column 1
+    [[1, 1, 0], [1, 0, 1], [0, 1, 1]],
+    # two non-unit pivots, which the gcd/lcm exchange turns into 1 and 6
+    [[2, 0], [0, 3]],
 ]
 
 
@@ -648,48 +684,76 @@ class TestPivots:
         assert m == before
 
     def test_examples_run_every_line(self):
-        # a line of _pivots that no example reaches is dead or untested
-        code = _pivots.__code__
-        body = {line for _, line in dis.findlinestarts(code)} - {code.co_firstlineno, None}
+        # a line of the kernel that no example reaches is dead or untested
+        codes = [f.__code__ for f in (_pivots, _add_column, quotient_map_mod_p, smith_normal_form)]
+        body = {
+            (code, line)
+            for code in codes
+            for _, line in dis.findlinestarts(code)
+            if line not in (code.co_firstlineno, None)
+        }
         ran = set()
 
         def trace_lines(frame, event, arg):
             if event == "line":
-                ran.add(frame.f_lineno)
+                ran.add((frame.f_code, frame.f_lineno))
             return trace_lines
 
         previous = sys.gettrace()
-        sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is code else None)
+        sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code in codes else None)
         try:
             for dense in PIVOT_EXAMPLES:
                 for p in (0, 3):
                     list(_pivots(SparseIntMatrix.from_dense(dense), p))
+                quotient_map_mod_p(SparseIntMatrix.from_dense(dense), 3)
+                smith_normal_form(SparseIntMatrix.from_dense(dense))
         finally:
             sys.settrace(previous)
-        assert sorted(body - ran) == []
+        assert sorted((code.co_name, line) for code, line in body - ran) == []
+
+    def test_pinned_pivot_answers(self):
+        # sha256 over repr((p, sorted |u|)) over Z and repr((p, pivot count))
+        # over each prime, on the inputs of test_pinned_pivot_stream: the
+        # invariant factors and ranks, which no change of pivot order moves
+        h = hashlib.sha256()
+        for p in (0, 2, 3, 2**31 - 1):
+            for m in pinned_pivot_inputs():
+                if p:
+                    h.update(repr((p, sum(1 for _ in _pivots(m, p)))).encode())
+                else:
+                    h.update(repr((p, sorted(abs(u) for _, _, u in _pivots(m)))).encode())
+        assert h.hexdigest() == "efa05c51a7ca2057a78e552ff00dffdc163f8918f21b0341da3aeef87e1fa5d4"
 
     def test_pinned_pivot_stream(self):
         # sha256 over repr((r, sorted col items, u)) of every pivot, in order,
-        # over Z and three primes: a raw process prefix, a raw binomial
-        # boundary, the shadow_p3 residuals and a 1580 x 1523 torsion-window
-        # residual. Any change to the pivot choice or step shows here.
-        inputs = [
-            boundary_matrix(Complex(40, 2, ProcessStream(40, 40).take_array(2000))),
-            boundary_matrix(sample_binomial(30, 2 * math.log(30) / 30, 7000)),
-        ]
-        inputs += [
-            _cycle_residual(30, 2, sample_fixed_size(30, 461, s).faces)[2]
-            for s in range(3000, 3040)
-        ]
-        M = math.ceil(2.9 * math.comb(60, 3) / 60)
-        inputs.append(_cycle_residual(60, 2, sample_fixed_size(60, M, 1).faces)[2])
-        assert (inputs[-1].rows, inputs[-1].cols) == (1580, 1523)
+        # over Z and three primes on pinned_pivot_inputs. Any change to the
+        # pivot choice or step shows here.
         h = hashlib.sha256()
         for p in (0, 2, 3, 2**31 - 1):
-            for m in inputs:
+            for m in pinned_pivot_inputs():
                 for r, col, u in _pivots(m, p):
                     h.update(repr((r, sorted(col.items()), u)).encode())
-        assert h.hexdigest() == "3fcb447982657ad745bed4fd4d145d1b5c2e0887d544ef9039dca902e7b30e25"
+        assert h.hexdigest() == "7c729ea4fa258cc550aa12d17a4c5a9065301cbec0510306331e5cf712bb3c9e"
+
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_lone_columns_pivot_before_any_fill(self, p, monkeypatch):
+        # an arrow: column 0 is all ones, inserted first, and column j is
+        # e_(j-1); pivoting column 0 first would fill every other column
+        k, stores = 2000, []
+        m = SparseIntMatrix(k, k + 1)
+        m.columns = {0: dict.fromkeys(range(k), 1)}
+        m.columns.update((j, {j - 1: 1}) for j in range(1, k + 1))
+
+        def no_fill(cols, rows, c2, col, *args):
+            before = set(cols[c2])
+            out = _add_column(cols, rows, c2, col, *args)
+            assert cols.get(c2, {}).keys() <= before
+            stores.append(cols)
+            return out
+
+        monkeypatch.setattr("homoforge.exact_linalg._add_column", no_fill)
+        assert sum(1 for _ in _pivots(m, p)) == k
+        assert stores and stores[-1] == {}
 
     @pytest.mark.parametrize("n, seed", [(25, 1025), (40, 40000)])
     def test_h_delta_prefix_takes_no_fill(self, n, seed, monkeypatch):

@@ -426,6 +426,11 @@ class TestCampaigns:
             run_campaign(cfg)
         assert not list(tmp_path.iterdir())
 
+    def test_float_prime_is_rejected(self):
+        cfg = CampaignConfig(kind="shadow_growth", n=8, trials=1, seed_base=0, primes=(3.0,))
+        with pytest.raises(ValueError, match="modulus 3.0 is not an integer"):
+            cfg.validate()
+
     def test_json_config_keys(self):
         cfg = CampaignConfig(kind="hitting_time", n=8, trials=1, seed_base=0,
                              jobs=2, out="x", verbose_factors=True)

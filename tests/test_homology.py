@@ -96,6 +96,12 @@ class TestBetti:
             with pytest.raises(ValueError, match="not prime"):
                 summary.betti_mod(p)
 
+    def test_numpy_int_prime(self):
+        Y = sample_fixed_size(12, 60, 5)
+        assert betti1_mod_p(Y, np.int64(3)) == betti1_mod_p(Y, 3)
+        assert shadow(Y, np.int64(3)).to_bytes() == shadow(Y, 3).to_bytes()
+        assert HomologySummary(1, (3,)).betti_mod(np.int64(3)) == 2
+
 
 class TestHomologyZ:
     def test_full_complex_trivial(self):
